@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		{DocID: -1, URL: "", Title: "", Terms: nil, Score: 0},
 	}
 	for _, tc := range []forwardResponse{
-		{RequestID: 1, Results: results},
+		{RequestID: 1, Page: searchengine.AppendResults(nil, results)},
 		{RequestID: 2, EngineError: "rate limited (captcha)"},
 		{RequestID: 3},
 	} {
@@ -47,11 +48,23 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		if got.RequestID != tc.RequestID || got.EngineError != tc.EngineError {
 			t.Errorf("header round trip: got %+v, want %+v", got, tc)
 		}
-		if len(got.Results) != len(tc.Results) {
-			t.Fatalf("results: got %d, want %d", len(got.Results), len(tc.Results))
+		wantPage := tc.Page
+		if len(wantPage) == 0 {
+			wantPage = emptyResultsBlob // a nil page encodes as the empty page
 		}
-		for i := range got.Results {
-			g, w := got.Results[i], tc.Results[i]
+		if !bytes.Equal(got.Page, wantPage) {
+			t.Fatalf("page: got %x, want %x", got.Page, wantPage)
+		}
+		decoded, _, err := searchengine.DecodeResults(got.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := searchengine.DecodeResults(wantPage)
+		if len(decoded) != len(want) {
+			t.Fatalf("results: got %d, want %d", len(decoded), len(want))
+		}
+		for i := range decoded {
+			g, w := decoded[i], want[i]
 			if g.DocID != w.DocID || g.URL != w.URL || g.Title != w.Title || g.Score != w.Score || len(g.Terms) != len(w.Terms) {
 				t.Errorf("result %d: got %+v, want %+v", i, g, w)
 			}
@@ -125,11 +138,50 @@ func TestWireRejectsBadFrames(t *testing.T) {
 			t.Errorf("truncated engine args of %d bytes accepted", i)
 		}
 	}
-	resp, _ := encodeResponse(&forwardResponse{RequestID: 1, Results: []searchengine.Result{{DocID: 1, URL: "u", Terms: []string{"t"}}}})
+	resp, _ := encodeResponse(&forwardResponse{RequestID: 1, Page: searchengine.AppendResults(nil, []searchengine.Result{{DocID: 1, URL: "u", Terms: []string{"t"}}})})
 	for i := 0; i < len(resp); i++ {
 		if _, err := decodeResponseWire(resp[:i]); err == nil {
 			t.Errorf("truncated response of %d bytes accepted", i)
 		}
+	}
+}
+
+// TestWireRejectsBadPages: the client validates every response's result
+// page even though it decodes only the real one, so a malformed page fails
+// the response whichever forward it answers.
+func TestWireRejectsBadPages(t *testing.T) {
+	page := searchengine.AppendResults(nil, []searchengine.Result{
+		{DocID: 4, URL: "https://web.sim/pets/4", Title: "cat food", Terms: []string{"cat", "food"}, Score: 2},
+	})
+	frame := func(page []byte) []byte {
+		return append(appendResponseHeader(nil, 11, ""), page...)
+	}
+	badVersion := append([]byte{}, page...)
+	badVersion[0] = 0xEE
+	// A term whose length field claims more than MaxWireStringLen.
+	oversizeTerm := searchengine.AppendResults(nil, []searchengine.Result{{Terms: []string{""}}})
+	oversizeTerm = append(oversizeTerm[:len(oversizeTerm)-9], 0xFF, 0xFF, 0x7F)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"no page", frame(nil), ErrWireTruncated},
+		{"truncated page", frame(page[:len(page)-3]), ErrWireTruncated},
+		{"cut inside a string", frame(page[:6]), ErrWireTruncated},
+		{"bad version", frame(badVersion), searchengine.ErrWireVersion},
+		{"oversize count", frame([]byte{searchengine.ResultsWireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}), ErrWireOversize},
+		{"oversize term", frame(oversizeTerm), ErrWireOversize},
+		{"trailing bytes", append(frame(page), 0), ErrWireTrailing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := decodeResponseWire(tc.data); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+	if _, err := decodeResponseWire(frame(page)); err != nil {
+		t.Fatalf("the well-formed page is rejected: %v", err)
 	}
 }
 
@@ -196,6 +248,59 @@ func TestRelayRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// fixedPage is a backend answering every query with the same page.
+type fixedPage []searchengine.Result
+
+func (p fixedPage) Search(string, string, time.Time) ([]searchengine.Result, error) {
+	return p, nil
+}
+
+// tenResults is a full first page of realistic size.
+func tenResults() fixedPage {
+	page := make(fixedPage, 10)
+	for i := range page {
+		page[i] = searchengine.Result{
+			DocID: 100 + i,
+			URL:   fmt.Sprintf("https://web.sim/travel/%d", 100+i),
+			Title: "cheap flights to lisbon in may",
+			Terms: []string{"cheap", "flights", "lisbon", "may"},
+			Score: float64(10 - i),
+		}
+	}
+	return page
+}
+
+// A full result page keeps the empty-page budget: the relay encodes it into
+// a pooled buffer and the client holds it as validated bytes in another, so
+// neither side allocates per page.
+func TestRelayRoundTripAllocsFullPage(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	net, err := NewNetwork(NetworkOptions{Nodes: 2, Seed: 4242, Backend: tenResults()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := net.NodeIDs()
+	client, relay := net.Node(ids[0]), ids[1]
+	now := time.Unix(0, 0)
+
+	for i := 0; i < 16; i++ {
+		if err := net.RelayRoundTrip(client, relay, "steady state probe", now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(500, func() {
+		if err := net.RelayRoundTrip(client, relay, "steady state probe", now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs/op", n)
+	if n > 3 {
+		t.Errorf("RelayRoundTrip with a 10-result page allocates %.1f times per op, want <= 3", n)
+	}
+}
+
 // BenchmarkWireRequestCodec measures one request encode+decode through the
 // binary codec (the per-crossing serialization cost that replaced JSON).
 func BenchmarkWireRequestCodec(b *testing.B) {
@@ -241,7 +346,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(appendRequest(nil, 7, "seed query"))
 	f.Add(appendForwardArgs(nil, "n1", []byte("payload"), 99))
 	f.Add(appendEngineArgs(nil, "n1", []byte("q"), 99))
-	seed, _ := encodeResponse(&forwardResponse{RequestID: 3, Results: []searchengine.Result{{DocID: 5, URL: "u", Title: "t", Terms: []string{"a"}, Score: 1.5}}})
+	seed, _ := encodeResponse(&forwardResponse{RequestID: 3, Page: searchengine.AppendResults(nil, []searchengine.Result{{DocID: 5, URL: "u", Title: "t", Terms: []string{"a"}, Score: 1.5}})})
 	f.Add(seed)
 	f.Add([]byte{wireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -258,7 +363,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("re-encode of decoded response failed: %v", err)
 			}
 			resp2, err := decodeResponseWire(re)
-			if err != nil || resp2.RequestID != resp.RequestID || resp2.EngineError != resp.EngineError || len(resp2.Results) != len(resp.Results) {
+			if err != nil || resp2.RequestID != resp.RequestID || resp2.EngineError != resp.EngineError || !bytes.Equal(resp2.Page, resp.Page) {
 				t.Fatalf("response re-encode mismatch: %v", err)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -347,5 +348,50 @@ func TestRelayGateCounters(t *testing.T) {
 	}
 	if st.OCalls == 0 {
 		t.Error("relay reached the engine without any ocall")
+	}
+}
+
+// TestRealSlotUniform: the real query's dispatch slot is drawn once the
+// number of forwards is final, so over many seeds it is uniform over the
+// len(fakes)+1 forwards actually sent, whether the table is short of k
+// entries or empty.
+func TestRealSlotUniform(t *testing.T) {
+	const seeds = 8000
+	for _, tc := range []struct {
+		name      string
+		bootstrap []string
+		k         int
+	}{
+		{"short table", []string{"weather tomorrow", "train times"}, 7},
+		{"empty table", nil, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := NewNetwork(NetworkOptions{Nodes: 2, Seed: 65, Backend: NullBackend{}, BootstrapQueries: tc.bootstrap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			node := net.Node(net.NodeIDs()[0])
+			counts := make(map[int]int)
+			slots := -1
+			for seed := int64(0); seed < seeds; seed++ {
+				node.rng = rand.New(rand.NewSource(seed))
+				fakes, realIdx := node.drawFakes(tc.k)
+				if slots == -1 {
+					slots = len(fakes) + 1
+				}
+				if len(fakes)+1 != slots || realIdx < 0 || realIdx >= slots {
+					t.Fatalf("seed %d: slot %d of %d forwards (want %d forwards)", seed, realIdx, len(fakes)+1, slots)
+				}
+				counts[realIdx]++
+			}
+			// Each slot within 15% of seeds/slots: over 5 standard deviations
+			// of the binomial count at these sizes.
+			want := float64(seeds) / float64(slots)
+			for slot := 0; slot < slots; slot++ {
+				if got := float64(counts[slot]); got < 0.85*want || got > 1.15*want {
+					t.Errorf("slot %d drawn %v times of %d, want %.0f ± 15%%", slot, got, seeds, want)
+				}
+			}
+		})
 	}
 }

@@ -28,9 +28,10 @@ import (
 //
 // resultPage is the searchengine binary result-page encoding; the "engine"
 // ocall returns one verbatim, and the "forward" ecall splices it into the
-// response without re-encoding. Decoding rejects unknown versions,
-// truncated frames, oversized length fields and trailing garbage before any
-// allocation happens.
+// response without re-encoding. The client validates every response's page
+// but decodes only the real query's (see Node.Search). Decoding rejects
+// unknown versions, truncated frames, oversized length fields and trailing
+// garbage before any allocation happens.
 
 // wireVersion is the current frame version; bump on any layout change.
 const wireVersion = 1
@@ -122,11 +123,27 @@ type forwardRequest struct {
 type forwardResponse struct {
 	// RequestID echoes the request identifier.
 	RequestID uint64
-	// Results is the engine's result page.
-	Results []searchengine.Result
+	// Page is the engine's result page in the searchengine binary encoding,
+	// validated but not decoded: only the real query's page is ever
+	// decoded, the fakes' pages are dropped as bytes. decodeResponseWire
+	// leaves it aliasing the frame; forward moves it into pageBuf.
+	Page []byte
 	// EngineError is set when the engine refused the query (rate limited or
-	// blocked); the results are then empty.
+	// blocked); the page is then empty.
 	EngineError string
+
+	// pageBuf is the pooled buffer holding Page once the response has left
+	// the pair's critical section; its holder returns it with releasePage.
+	pageBuf *[]byte
+}
+
+// releasePage returns the response's page buffer to the pool. Page must not
+// be read afterwards.
+func (r *forwardResponse) releasePage() {
+	if r.pageBuf != nil {
+		putBuf(r.pageBuf)
+		r.pageBuf, r.Page = nil, nil
+	}
 }
 
 // appendRequest appends the binary encoding of a forward request to dst.
@@ -167,8 +184,9 @@ func appendResponseHeader(dst []byte, requestID uint64, engineErr string) []byte
 	return appendWireString(dst, engineErr)
 }
 
-// decodeResponseWire decodes a full forward response. The result does not
-// alias data.
+// decodeResponseWire decodes a full forward response. The result page is
+// validated (searchengine.ValidateResults) but left as bytes: resp.Page
+// aliases data, and a page that fails validation fails the response.
 func decodeResponseWire(data []byte) (forwardResponse, error) {
 	var resp forwardResponse
 	data, err := consumeVersion(data)
@@ -186,14 +204,14 @@ func decodeResponseWire(data []byte) (forwardResponse, error) {
 	if len(engineErr) > 0 {
 		resp.EngineError = string(engineErr)
 	}
-	results, data, err := searchengine.DecodeResults(data)
+	rest, err := searchengine.ValidateResults(data)
 	if err != nil {
 		return resp, fmt.Errorf("core: response result page: %w", err)
 	}
-	if len(data) != 0 {
+	if len(rest) != 0 {
 		return resp, ErrWireTrailing
 	}
-	resp.Results = results
+	resp.Page = data
 	return resp, nil
 }
 
@@ -313,7 +331,10 @@ func encodeResponse(r *forwardResponse) ([]byte, error) {
 		return nil, fmt.Errorf("%w: engine error %d bytes", ErrWireOversize, len(r.EngineError))
 	}
 	out := appendResponseHeader(nil, r.RequestID, r.EngineError)
-	return searchengine.AppendResults(out, r.Results), nil
+	if len(r.Page) == 0 {
+		return append(out, emptyResultsBlob...), nil
+	}
+	return append(out, r.Page...), nil
 }
 
 func decodeResponse(data []byte) (*forwardResponse, error) {

@@ -463,8 +463,10 @@ func (d directConduit) Deliver(from, to string, payload []byte, now time.Time) (
 }
 
 // forward delivers one encrypted forward request from client to relay and
-// returns the decoded response plus the sampled path latency:
+// returns the response plus the sampled path latency:
 // WAN out + relay processing + engine RTT (inside backend) + WAN back.
+// The response's result page is validated but not decoded; it is held in a
+// pooled buffer the caller must return with releasePage.
 //
 // The exchange is zero-allocation at steady state: request encoding,
 // padding, encryption and response decryption all run in the pair's scratch
@@ -632,6 +634,12 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 		net.breakPair(ps, client, relay)
 		return forwardResponse{}, latency, fmt.Errorf("%w: relay %s: response id %d, want %d", ErrRelayMisbehaved, relayID, resp.RequestID, requestID)
 	}
+	// The page aliases ps.plainBuf, which the pair's next forward reuses:
+	// move it into a pooled buffer the caller owns. Every forward, real or
+	// fake, does exactly this; none decodes its page here.
+	pb := getBuf()
+	*pb = append((*pb)[:0], resp.Page...)
+	resp.Page, resp.pageBuf = *pb, pb
 	return resp, latency, nil
 }
 
@@ -719,7 +727,8 @@ func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node) error {
 // capacity benchmarking (Fig 8c). The sampled network latency is discarded;
 // the caller measures wall time.
 func (net *Network) RelayRoundTrip(client *Node, relayID, query string, now time.Time) error {
-	_, _, err := net.forward(client, relayID, query, now)
+	resp, _, err := net.forward(client, relayID, query, now)
+	resp.releasePage()
 	return err
 }
 

@@ -43,8 +43,16 @@ func (NullBackend) Search(string, string, time.Time) ([]searchengine.Result, err
 
 // emptyResultsBlob is the pre-encoded empty result page the engine ocall
 // returns when the backend produced no results, so the NullBackend hot path
-// never encodes. Read-only; callers splice it, never mutate it.
+// never encodes. Read-only and shared; callers splice it, never mutate it,
+// and it never enters the buffer pool (see pooledPage).
 var emptyResultsBlob = searchengine.AppendResults(nil, nil)
+
+// pooledPage reports whether page, returned by the engine ocall, is a pooled
+// buffer the forward ecall must put back rather than the shared
+// emptyResultsBlob.
+func pooledPage(page []byte) bool {
+	return len(page) > 0 && &page[0] != &emptyResultsBlob[0]
+}
 
 // Node errors.
 var (
@@ -311,6 +319,9 @@ func (n *Node) registerECalls() {
 		} else {
 			resp = appendResponseHeader((*rb)[:0], requestID, "")
 			resp = append(resp, resultsBlob...)
+			if pooledPage(resultsBlob) {
+				putDetached(resultsBlob) // spliced: the copy in rb is sealed below
+			}
 		}
 		*rb = resp
 
@@ -326,7 +337,8 @@ func (n *Node) registerECalls() {
 
 	// "engine": the untrusted host callback that carries the query to the
 	// search engine. Returns a binary result page (spliced into the
-	// response by the ecall above).
+	// response by the ecall above): either emptyResultsBlob or a detached
+	// pool buffer the ecall owns.
 	n.encl.RegisterOCall("engine", func(args []byte) ([]byte, error) {
 		source, query, nowNano, err := decodeEngineArgs(args)
 		if err != nil {
@@ -361,7 +373,11 @@ func (n *Node) registerECalls() {
 		if len(results) == 0 {
 			return emptyResultsBlob, nil
 		}
-		return searchengine.AppendResults(nil, results), nil
+		// Encode into a pooled buffer; the forward ecall puts it back once
+		// the page is spliced into the response.
+		pb := getBuf()
+		*pb = searchengine.AppendResults((*pb)[:0], results)
+		return detachBuf(pb), nil
 	})
 }
 
@@ -484,15 +500,9 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 
 	// One fake query per fake relay, drawn from the enclave table; the table
 	// can run dry right after bootstrap.
-	n.mu.Lock()
-	fakes := n.state.table.Sample(n.rng, k)
-	realIdx := n.rng.Intn(k + 1)
-	n.mu.Unlock()
+	fakes, realIdx := n.drawFakes(k)
 	if len(fakes) < k {
 		k = len(fakes)
-		if realIdx > k {
-			realIdx = k
-		}
 		relays = relays[:k+1]
 	}
 
@@ -512,6 +522,7 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		err         error
 	}
 	outcomes := make(chan outcome, k+1)
+	claims := &relayClaims{sampled: relays}
 	var wg sync.WaitGroup
 	fakeIdx := 0
 	for i := 0; i <= k; i++ {
@@ -525,16 +536,21 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reply, usedRelay, pathLatency, err := n.forwardWithRetry(relay, q, now, relays)
+			reply, usedRelay, pathLatency, err := n.forwardWithRetry(relay, q, now, claims)
 			outcomes <- outcome{real: isReal, reply: reply, usedRelay: usedRelay, pathLatency: pathLatency, err: err}
 		}()
 	}
 	wg.Wait()
 	close(outcomes)
 
+	// Every forward has returned, each with its page validated and held as
+	// bytes: only now is the real page decoded, so the per-forward work
+	// (splice, trace, outcome counter) is identical for real and fake. The
+	// fakes' pages go back to the pool unread.
 	var realErr error
 	for o := range outcomes {
 		if !o.real {
+			o.reply.releasePage()
 			if o.err == nil {
 				n.stats.fakesSent.Add(1)
 			}
@@ -551,8 +567,13 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 			// the backend taxonomy (overloaded / timeout / breaker-open).
 			res.EngineError = backend.FromWire(o.reply.EngineError)
 		default:
-			res.Results = o.reply.Results
+			results, _, err := searchengine.DecodeResults(o.reply.Page)
+			if err != nil {
+				realErr = fmt.Errorf("%w: %v", ErrRelayFailed, err)
+			}
+			res.Results = results
 		}
+		o.reply.releasePage()
 	}
 	if realErr != nil {
 		return res, realErr
@@ -560,6 +581,54 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 
 	n.stats.searches.Add(1)
 	return res, nil
+}
+
+// drawFakes samples up to k fake queries from the enclave table and the
+// real query's dispatch slot. The slot is drawn from the final number of
+// forwards, len(fakes)+1, so it is uniform over the forwards actually sent
+// even when the table returns fewer than k fakes.
+func (n *Node) drawFakes(k int) (fakes []string, realIdx int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fakes = n.state.table.Sample(n.rng, k)
+	return fakes, n.rng.Intn(len(fakes) + 1)
+}
+
+// relayClaims is the set of relays one search has claimed: the k+1 it
+// sampled plus every replacement any of its forwards retried onto. The
+// search's k+1 forward goroutines share it, so forwards that fail together
+// never retry onto the same relay and no relay carries two of the search's
+// queries (§IV's k+1 distinct relays). The set is built on the first
+// failure; the all-healthy path never touches it.
+type relayClaims struct {
+	sampled []rps.NodeID
+
+	mu      sync.Mutex
+	claimed map[string]struct{}
+}
+
+// claimReplacement claims and returns the first candidate that is neither
+// self nor already claimed by the search, or "" when none is left.
+func (c *relayClaims) claimReplacement(self string, candidates []rps.NodeID) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.claimed == nil {
+		c.claimed = make(map[string]struct{}, len(c.sampled)+2)
+		for _, id := range c.sampled {
+			c.claimed[string(id)] = struct{}{}
+		}
+	}
+	for _, cand := range candidates {
+		id := string(cand)
+		if id == self {
+			continue // never relay through self, whatever the view says
+		}
+		if _, taken := c.claimed[id]; !taken {
+			c.claimed[id] = struct{}{}
+			return id
+		}
+	}
+	return ""
 }
 
 // forwardWithRetry forwards one query to relay, retrying over replacement
@@ -574,12 +643,10 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 // simply retried through a different relay whose engine may be healthy. If
 // every attempt ends in engine failure the last engine reply is returned
 // (no transport error occurred; the caller surfaces EngineError).
-// Retry bookkeeping (the tried set, replacement sampling) is built lazily
-// on the first failure, so the common all-relays-healthy path does no extra
-// work.
-func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rps.NodeID) (forwardResponse, string, time.Duration, error) {
+// Replacements are claimed in claims, shared by every forward of the
+// search. The returned reply's page buffer belongs to the caller.
+func (n *Node) forwardWithRetry(relay, query string, now time.Time, claims *relayClaims) (forwardResponse, string, time.Duration, error) {
 	var total time.Duration
-	var tried map[string]struct{}
 	current := relay
 	var lastErr error
 	var engineReply forwardResponse
@@ -595,8 +662,9 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 		case err == nil:
 			// Engine failure reported by an honest relay: keep the reply as
 			// the fallback answer and move to a different relay, charging
-			// this one nothing.
+			// this one nothing. Its page is empty and never read.
 			n.stats.engineFailed.Add(1)
+			reply.releasePage()
 			engineReply, engineRelay = reply, current
 			lastErr = nil
 		case errors.Is(err, ErrRelayMisbehaved):
@@ -619,22 +687,7 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 		default:
 			return forwardResponse{}, current, total, err
 		}
-		if tried == nil {
-			tried = make(map[string]struct{}, len(exclude)+2)
-			for _, e := range exclude {
-				tried[string(e)] = struct{}{}
-			}
-		}
-		next := ""
-		for _, cand := range n.peers.Sample(8) {
-			if string(cand) == n.id {
-				continue // never relay through self, whatever the view says
-			}
-			if _, used := tried[string(cand)]; !used {
-				next = string(cand)
-				break
-			}
-		}
+		next := claims.claimReplacement(n.id, n.peers.Sample(8))
 		if next == "" {
 			if engineRelay != "" {
 				// No replacement relay, but a relay did answer: degrade to
@@ -643,7 +696,6 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 			}
 			return forwardResponse{}, current, total, ErrNoPeers
 		}
-		tried[next] = struct{}{}
 		current = next
 		forwardRetries.Inc()
 	}

@@ -10,6 +10,7 @@ import (
 	"cyclosa/internal/backend"
 	"cyclosa/internal/rps"
 	"cyclosa/internal/searchengine"
+	"cyclosa/internal/sensitivity"
 	"cyclosa/internal/transport"
 )
 
@@ -151,7 +152,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 			run: func(t *testing.T) (*Node, string, outcome) {
 				net, ids := retryNet(t, nil)
 				client, relay := net.Node(ids[0]), ids[1]
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				_ = reply
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
@@ -162,7 +163,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				net, ids := retryNet(t, nil)
 				client, relay := net.Node(ids[0]), ids[1]
 				net.Kill(relay)
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -179,7 +180,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				})
 				die.net = net
 				client, relay := net.Node(ids[0]), ids[1]
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -196,7 +197,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				for _, id := range ids {
 					exclude = append(exclude, rps.NodeID(id))
 				}
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, exclude)
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: exclude})
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantErr:        ErrNoPeers,
@@ -211,7 +212,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				// The initial "relay" is the node itself: the forward must be
 				// refused (the engine would see the requester) and the retry
 				// must move on without blacklisting the node.
-				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, nil)
+				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, &relayClaims{})
 				return client, client.id, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved: true,
@@ -229,7 +230,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				})
 				die.net = net
 				client := net.Node(ids[0])
-				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, nil)
+				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, &relayClaims{})
 				return client, client.id, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -246,7 +247,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				})
 				client, relay := net.Node(ids[0]), ids[1]
 				tam.relay = relay
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -262,7 +263,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				// healthy, so the retry completes there — with the honest
 				// first relay neither blacklisted nor charged.
 				fail.set(relay, "engine-unavailable: circuit open")
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err}
 			},
 			wantUsedMoved:    true,
@@ -276,7 +277,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				for _, id := range ids {
 					fail.set(id, "engine-overloaded: brownout everywhere")
 				}
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err}
 			},
 			// Three honest relays tried, none blacklisted, no timeout
@@ -297,7 +298,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				}
 				// No replacement exists, but a relay DID answer: the engine
 				// failure is the result, not ErrNoPeers.
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, exclude)
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: exclude})
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err}
 			},
 			wantEngineFailed: 1,
@@ -332,7 +333,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				// completes. Exactly one blacklist, one engine failure.
 				fail.set(relay, "engine 503")
 				die.killed = map[string]bool{relay: true} // the die wrapper must not touch the engine-failing relay
-				reply, used, lat, err2 := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)})
+				reply, used, lat, err2 := client.forwardWithRetry(relay, "q", t0, &relayClaims{sampled: []rps.NodeID{rps.NodeID(relay)}})
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err2}
 			},
 			wantUsedMoved:    true,
@@ -439,5 +440,91 @@ func TestSearchClassifiesEngineFailure(t *testing.T) {
 	res, err = client.Search("after the brownout", t0)
 	if err != nil || res.EngineError != nil {
 		t.Fatalf("post-brownout search failed: err=%v engineErr=%v", err, res.EngineError)
+	}
+}
+
+// failFirstContacts holds a search's first k+1 deliveries until all have
+// arrived, then fails the first `fail` of them as unavailable and passes the
+// rest on, so several forwards of one search fail together. It counts every
+// delivery per relay.
+type failFirstContacts struct {
+	inner   transport.Conduit
+	initial int
+	fail    int
+
+	mu         sync.Mutex
+	arrived    int
+	release    chan struct{}
+	deliveries map[string]int
+}
+
+func (c *failFirstContacts) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
+	c.mu.Lock()
+	c.deliveries[to]++
+	slot := c.arrived
+	c.arrived++
+	if c.arrived == c.initial {
+		close(c.release)
+	}
+	c.mu.Unlock()
+	if slot >= c.initial {
+		return c.inner.Deliver(from, to, payload, now)
+	}
+	select {
+	case <-c.release:
+	case <-time.After(5 * time.Second): // fewer forwards than expected: the counts below fail the test
+	}
+	if slot < c.fail {
+		return nil, 0, fmt.Errorf("%w: relay %s down", ErrRelayUnavailable, to)
+	}
+	return c.inner.Deliver(from, to, payload, now)
+}
+
+// TestRetriesOfOneSearchClaimDistinctRelays: two forwards of one search fail
+// at the same time while the view offers a single spare relay. Only one of
+// them may retry onto it; the other runs out of peers. No relay may receive
+// two of the search's forwards.
+func TestRetriesOfOneSearchClaimDistinctRelays(t *testing.T) {
+	fc := &failFirstContacts{initial: 3, fail: 2, release: make(chan struct{}), deliveries: make(map[string]int)}
+	net, err := NewNetwork(NetworkOptions{
+		Nodes:            5,
+		Seed:             64,
+		Backend:          NullBackend{},
+		LatencyModel:     transport.NewModel(64, nil, 0),
+		BootstrapQueries: []string{"weather tomorrow", "train times"},
+		AnalyzerFor: func(string) *sensitivity.Analyzer {
+			return sensitivity.NewAnalyzer(alwaysSensitive{}, nil, 2) // k = 2: three relays, one spare
+		},
+		Conduit: func(direct transport.Conduit) transport.Conduit {
+			fc.inner = direct
+			return fc
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := net.Node(net.NodeIDs()[0])
+	if view := client.peers.Sample(8); len(view) != 4 {
+		t.Fatalf("client view holds %d peers, want all 4", len(view))
+	}
+
+	// The real query may be the forward left without a replacement.
+	res, err := client.Search("a sensitive query", t0)
+	if err != nil && !errors.Is(err, ErrRelayFailed) {
+		t.Fatalf("search: %v", err)
+	}
+	if err == nil && res.K != 2 {
+		t.Fatalf("K = %d, want 2", res.K)
+	}
+	total := 0
+	for relay, n := range fc.deliveries {
+		if n > 1 {
+			t.Errorf("relay %s received %d forwards of one search", relay, n)
+		}
+		total += n
+	}
+	// Three initial forwards plus exactly one retry onto the spare.
+	if total != 4 {
+		t.Errorf("deliveries = %d (%v), want 4: three forwards and one retry", total, fc.deliveries)
 	}
 }

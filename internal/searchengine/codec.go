@@ -100,57 +100,98 @@ func wireSafe(r *Result) bool {
 	return true
 }
 
-// DecodeResults decodes one result page from the front of data, returning
-// the page, the unconsumed remainder and any error. The returned results do
-// not alias data (all strings are copied), so the caller may reuse the
-// buffer. A zero-count page decodes to a nil slice.
-func DecodeResults(data []byte) ([]Result, []byte, error) {
+// ValidateResults walks one result page at the front of data and returns
+// the unconsumed remainder. It applies every check DecodeResults applies —
+// version, MaxWireResults, MaxWireStringLen, MaxWireTerms, truncation — and
+// allocates nothing on a well-formed page, so a caller can accept or reject
+// a page it never reads (the answer to a fake query) without
+// materializing it.
+func ValidateResults(data []byte) ([]byte, error) {
 	if len(data) < 1 {
-		return nil, nil, ErrWireTruncated
+		return nil, ErrWireTruncated
 	}
 	if data[0] != ResultsWireVersion {
-		return nil, nil, fmt.Errorf("%w: %d", ErrWireVersion, data[0])
+		return nil, fmt.Errorf("%w: %d", ErrWireVersion, data[0])
 	}
-	data = data[1:]
-	count, data, err := wire.ConsumeUvarint(data, MaxWireResults)
+	count, data, err := wire.ConsumeUvarint(data[1:], MaxWireResults)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if count == 0 {
-		return nil, data, nil
-	}
-	results := make([]Result, count)
-	for i := range results {
-		r := &results[i]
-		var docID int64
-		docID, data, err = wire.ConsumeVarint(data)
-		if err != nil {
-			return nil, nil, err
+	for ; count > 0; count-- {
+		if _, data, err = wire.ConsumeVarint(data); err != nil {
+			return nil, err
 		}
-		r.DocID = int(docID)
-		if r.URL, data, err = wire.ConsumeString(data, MaxWireStringLen); err != nil {
-			return nil, nil, err
+		// URL and title.
+		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil {
+			return nil, err
 		}
-		if r.Title, data, err = wire.ConsumeString(data, MaxWireStringLen); err != nil {
-			return nil, nil, err
+		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil {
+			return nil, err
 		}
 		var nTerms uint64
 		if nTerms, data, err = wire.ConsumeUvarint(data, MaxWireTerms); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if nTerms > 0 {
-			r.Terms = make([]string, nTerms)
-			for j := range r.Terms {
-				if r.Terms[j], data, err = wire.ConsumeString(data, MaxWireStringLen); err != nil {
-					return nil, nil, err
-				}
+		for ; nTerms > 0; nTerms-- {
+			if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil {
+				return nil, err
 			}
 		}
 		if len(data) < 8 {
-			return nil, nil, ErrWireTruncated
+			return nil, ErrWireTruncated
 		}
-		r.Score = math.Float64frombits(binary.BigEndian.Uint64(data))
 		data = data[8:]
 	}
-	return results, data, nil
+	return data, nil
+}
+
+// DecodeResults decodes one result page from the front of data, returning
+// the page, the unconsumed remainder and any error. The page is validated
+// first (ValidateResults), then read from a single copy of its bytes: every
+// URL, title and term is a substring of that copy, so the results do not
+// alias data and the caller may reuse the buffer. A page therefore costs
+// two allocations plus one per result that has terms. A zero-count page
+// decodes to a nil slice without allocating.
+func DecodeResults(data []byte) ([]Result, []byte, error) {
+	rest, err := ValidateResults(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	page := data[:len(data)-len(rest)]
+	count, n := binary.Uvarint(page[1:])
+	if count == 0 {
+		return nil, rest, nil
+	}
+	// The walk above proved every field in bounds: read without re-checking.
+	s := string(page)
+	off := 1 + n
+	results := make([]Result, count)
+	for i := range results {
+		r := &results[i]
+		docID, n := binary.Varint(page[off:])
+		off += n
+		r.DocID = int(docID)
+		r.URL = pageString(page, s, &off)
+		r.Title = pageString(page, s, &off)
+		nTerms, n := binary.Uvarint(page[off:])
+		off += n
+		if nTerms > 0 {
+			r.Terms = make([]string, nTerms)
+			for j := range r.Terms {
+				r.Terms[j] = pageString(page, s, &off)
+			}
+		}
+		r.Score = math.Float64frombits(binary.BigEndian.Uint64(page[off:]))
+		off += 8
+	}
+	return results, rest, nil
+}
+
+// pageString returns the length-prefixed string at page[*off:] as a
+// substring of s, the copy of the validated page, and advances *off past it.
+func pageString(page []byte, s string, off *int) string {
+	l, n := binary.Uvarint(page[*off:])
+	start := *off + n
+	*off = start + int(l)
+	return s[start:*off]
 }

@@ -1,6 +1,7 @@
 package searchengine
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -125,21 +126,77 @@ func TestResultsCodecAllocsOnEmptyPage(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("DecodeResults(empty page) allocates %.1f times, want 0", n)
 	}
+
+	// The validating walk allocates nothing on any page, and a decode costs
+	// one copy of the page plus the result slice plus one term list per
+	// result that has terms.
+	for _, results := range [][]Result{nil, sampleResults(), fullPage()} {
+		page := AppendResults(nil, results)
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := ValidateResults(page); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("ValidateResults(%d results) allocates %.1f times, want 0", len(results), n)
+		}
+		want := 0
+		if len(results) > 0 {
+			want = 2
+		}
+		for _, r := range results {
+			if len(r.Terms) > 0 {
+				want++
+			}
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, _, err := DecodeResults(page); err != nil {
+				t.Fatal(err)
+			}
+		}); n != float64(want) {
+			t.Errorf("DecodeResults(%d results) allocates %.1f times, want %d", len(results), n, want)
+		}
+	}
+}
+
+// fullPage is a first page of ten results with terms.
+func fullPage() []Result {
+	page := make([]Result, 10)
+	for i := range page {
+		page[i] = Result{DocID: i, URL: "https://web.sim/music/" + strings.Repeat("x", i), Title: "live albums", Terms: []string{"live", "albums"}, Score: float64(i)}
+	}
+	return page
 }
 
 // FuzzResultsDecode hammers the page decoder with arbitrary bytes: it must
-// never panic, and whatever decodes must re-encode and decode to the same
-// page.
+// never panic; ValidateResults and DecodeResults must accept and reject the
+// same inputs and consume the same prefix; decoded strings must survive the
+// input buffer being overwritten; and whatever decodes must re-encode and
+// decode to the same page.
 func FuzzResultsDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendResults(nil, nil))
 	f.Add(AppendResults(nil, sampleResults()))
+	f.Add(append(AppendResults(nil, sampleResults()), 0xDE, 0xAD))
+	f.Add(AppendResults(nil, fullPage()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		results, _, err := DecodeResults(data)
+		vrest, verr := ValidateResults(data)
+		results, rest, err := DecodeResults(data)
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("validate and decode disagree: validate %v, decode %v", verr, err)
+		}
 		if err != nil {
 			return
 		}
+		if len(vrest) != len(rest) {
+			t.Fatalf("validate consumed %d bytes, decode %d", len(data)-len(vrest), len(data)-len(rest))
+		}
 		re := AppendResults(nil, results)
+		for i := range data {
+			data[i] ^= 0xFF
+		}
+		if again := AppendResults(nil, results); !bytes.Equal(again, re) {
+			t.Fatalf("decoded page changed when the input buffer was overwritten")
+		}
 		got, rest, err := DecodeResults(re)
 		if err != nil || len(rest) != 0 || len(got) != len(results) {
 			t.Fatalf("re-encode mismatch: %v (rest %d, got %d want %d)", err, len(rest), len(got), len(results))
