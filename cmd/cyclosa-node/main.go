@@ -1,7 +1,9 @@
-// Command cyclosa-node is the networked deployment: a long-running relay
-// daemon serving many concurrent clients over the internal/nettrans frame
-// protocol, discovering and attesting other daemons through gossip, and a
-// client that attests it and multiplexes queries over one attested session.
+// Command cyclosa-node is the networked deployment of CYCLOSA: a
+// long-running daemon that relays other users' queries through its enclave
+// and discovers and attests other daemons through gossip, and a client that
+// runs the full protection flow — sensitivity check, adaptive k, fake
+// queries drawn from its own enclave's past-query table, k+1 distinct
+// attested relays — across those daemons.
 //
 // Usage:
 //
@@ -15,24 +17,34 @@
 //	cyclosa-node -mode node -engine-timeout 500ms -engine-retries 1 \
 //	             -engine-breaker-threshold 0.5 -engine-max-inflight 32
 //
-// The daemon serves the attested query service: each connection runs one
-// remote-attestation handshake, then any number of in-flight queries
-// multiplex over the session as frame streams. It drains gracefully on
-// SIGINT/SIGTERM (stop accepting, finish in-flight exchanges, close).
+// A daemon (-mode node) is one CYCLOSA node: its enclave runs on the
+// platform the -ias-secret provisions, it samples relays from its gossip
+// view, and it serves the enclave's forward ecall — decrypt, record the
+// query in the past-query table, submit it to the engine under the
+// daemon's own identity, seal the answer — for every client that pairs
+// with it over the internal/nettrans frame protocol. It answers pairings
+// only for its own -id. It drains gracefully on SIGINT/SIGTERM (stop
+// accepting, finish in-flight exchanges, close).
 //
 // Membership is dynamic: -bootstrap names seed daemons only. The daemon
 // joins by exchanging its partial view with the seeds (gossip frames), then
 // keeps gossiping every -gossip-interval; peers discovered through the
-// overlay are re-attested as they enter the view and cached in the
-// attestation directory. No static peer list exists anywhere — a daemon
-// started with only a seed address discovers, attests and serves the whole
-// overlay. If every -bootstrap seed is unreachable the daemon exits
-// non-zero instead of serving an empty view. `-mode view` dials a daemon
-// and prints its live view and directory (id, address, age, attestation).
+// overlay are attested with one pairing exchange as they enter the view
+// and cached in the attestation directory. No static peer list exists
+// anywhere — a daemon started with only a seed address discovers, attests
+// and serves the whole overlay. If every -bootstrap seed is unreachable the
+// daemon exits non-zero instead of serving an empty view. `-mode view`
+// dials a daemon and prints its live view and directory (id, address, age,
+// attestation).
 //
-// The client issues -n queries over ONE attested session using -concurrency
-// worker goroutines — the stream-multiplexing path, not n serial
-// connections — and reports throughput and latency.
+// The client (-mode client) fetches the -connect daemon's view once: that
+// daemon and its attested peers are the relays it samples from; it neither
+// gossips nor keeps a ledger. It builds one local node — the deployed
+// sensitivity analyzer, a past-query table bootstrapped from trending
+// queries — and runs -n searches, -concurrency at a time, each through
+// k+1 distinct relays it pairs with on first use. Each search prints its k
+// and the relays it used; runs of more than one search also report
+// throughput and latency.
 //
 // Separate processes must share the -ias-secret flag: it stands in for
 // Intel's platform provisioning, letting every side reconstruct the
@@ -42,7 +54,10 @@
 // internal/backend resilience stack (deadline, retries, circuit breaker,
 // overload shedding), tuned by the -engine-* flags; out-of-range values are
 // rejected at start-up with usage, and the stack's live counters appear in
-// `-mode view` output.
+// `-mode view` output. -client-qps and -client-burst bound each client's
+// forwards per daemon (keyed by its connection identity): over-quota
+// records are shed before decryption and the client moves on to another
+// relay.
 //
 // -ops-addr starts the HTTP operations surface (internal/telemetry):
 // Prometheus metrics at /metrics, liveness and readiness probes at /healthz
@@ -54,6 +69,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -76,7 +93,7 @@ import (
 	"cyclosa/internal/queries"
 	"cyclosa/internal/rps"
 	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
+	"cyclosa/internal/sensitivity"
 	"cyclosa/internal/telemetry"
 )
 
@@ -93,13 +110,13 @@ func main() {
 func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("cyclosa-node", flag.ContinueOnError)
 	var (
-		mode        = fs.String("mode", "demo", "node|client|view|demo (relay = deprecated alias of node)")
+		mode        = fs.String("mode", "demo", "node|client|view|demo")
 		listen      = fs.String("listen", "127.0.0.1:7844", "daemon listen address")
 		connect     = fs.String("connect", "127.0.0.1:7844", "client/view target address")
 		query       = fs.String("query", "", "client query (default: topical samples)")
-		n           = fs.Int("n", 1, "client: number of queries to issue over one attested session")
-		concurrency = fs.Int("concurrency", 4, "client: concurrent in-flight queries (capped at -n)")
-		seed        = fs.Int64("seed", 1, "seed for the daemon's simulated engine and sample queries")
+		n           = fs.Int("n", 1, "client: number of protected searches to run")
+		concurrency = fs.Int("concurrency", 4, "client: concurrent in-flight searches (capped at -n)")
+		seed        = fs.Int64("seed", 1, "seed for the simulated engine, the client's analyzer and sample queries")
 		id          = fs.String("id", "cyclosa-node", "daemon identity announced to clients and gossiped in views")
 		bootstrap   = fs.String("bootstrap", "", "comma-separated seed daemon addresses; the daemon joins the overlay through them (exits non-zero if none is reachable)")
 		advertise   = fs.String("advertise", "", "address gossiped to peers (default: the bound listen address)")
@@ -146,7 +163,7 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 	// start-up, exactly like the engine and admission flags, rather than
 	// surfacing minutes later as a silently missing metrics endpoint.
 	var opsLn net.Listener
-	if *opsAddr != "" && (*mode == "node" || *mode == "relay" || *mode == "demo") {
+	if *opsAddr != "" && (*mode == "node" || *mode == "demo") {
 		opsLn, err = net.Listen("tcp", *opsAddr)
 		if err != nil {
 			fs.SetOutput(os.Stderr)
@@ -157,7 +174,7 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 
 	env := newAttestationEnv(*iasSecret)
 	switch *mode {
-	case "node", "relay": // relay kept as a deprecated alias
+	case "node":
 		return runNode(env, nodeConfig{
 			listen:      *listen,
 			id:          *id,
@@ -217,7 +234,9 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// attestationEnv reconstructs the shared attestation roots on each side.
+// attestationEnv reconstructs the shared attestation roots on each side:
+// every daemon's enclave runs on the relay platform, every client's on the
+// client platform, both derived from the -ias-secret.
 type attestationEnv struct {
 	ias      *enclave.IAS
 	relay    *enclave.Platform
@@ -244,8 +263,8 @@ type nodeConfig struct {
 	advertise   string
 	gossipEvery time.Duration
 	engine      backend.Policy
-	// admission is the per-client token-bucket limiter enforced at the
-	// service edge, before decrypt and dispatch (nil = unthrottled, only
+	// admission is the per-client token-bucket limiter enforced on data
+	// frames, before decrypt and dispatch (nil = unthrottled, only
 	// reachable from tests — the flag path always builds one).
 	admission *accounting.Limiter
 	// opsLn is the pre-bound HTTP ops listener (nil disables the ops
@@ -256,6 +275,9 @@ type nodeConfig struct {
 	// for shutdown-order assertions). Stages: "frame-drained" fires after
 	// the goaway drain completes and before the ops server shuts down.
 	drainHook func(stage string)
+	// readyHook, when non-nil, receives the daemon's node and engine once
+	// it serves (test seam for what relays record and submit).
+	readyHook func(node *core.Node, engine *searchengine.Engine)
 }
 
 // runNode runs the long-running relay daemon until a signal (or stop
@@ -267,11 +289,6 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	if cfg.gossipEvery <= 0 {
 		cfg.gossipEvery = time.Second
 	}
-	encl := env.relay.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, env.verifier)
-	if err != nil {
-		return err
-	}
 	uni := queries.NewUniverse(queries.UniverseConfig{Seed: cfg.seed})
 	engine := searchengine.New(uni, searchengine.Config{Seed: cfg.seed})
 	// The engine answers from behind the full resilience stack: deadline,
@@ -282,26 +299,25 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "node: "+format+"\n", args...)
 	}
+	// node is built below, after the membership plane whose view it samples
+	// relays from; attestations start only once the daemon joins.
+	var node *core.Node
+	var tcp *nettrans.TCPConduit
 	// The attestation directory's verifier: every peer entering the view is
-	// dialed and taken through the full remote-attestation handshake; its
-	// measurement is cached as directory evidence. DialService wraps
-	// verification failures in ErrAttestRejected, which the membership layer
+	// taken through one pairing exchange at its gossiped address, addressed
+	// to its gossiped identity — a daemon answers pairings only for its own
+	// ID, which binds the identity to the endpoint. A refused or
+	// unverifiable pairing is ErrAttestRejected, which the membership layer
 	// turns into a blacklist entry (transport failures only evict).
 	attest := func(peerID, addr string) (string, error) {
-		pc, err := nettrans.DialService(addr, hs, nettrans.ClientConfig{ID: cfg.id, DialTimeout: 3 * time.Second})
+		m, err := node.Attest(tcp.At(addr), peerID)
+		if errors.Is(err, core.ErrRelayMisbehaved) {
+			return "", fmt.Errorf("%w: %w", nettrans.ErrAttestRejected, err)
+		}
 		if err != nil {
 			return "", err
 		}
-		defer pc.Close()
-		// Bind the gossiped identity to the dialed endpoint: a daemon that
-		// gossips someone else's ID with its own address must not get that
-		// ID's directory entry pointed at it. An identity mismatch is a
-		// verification failure (blacklist), not mere unreachability.
-		if pc.ServerID() != peerID {
-			return "", fmt.Errorf("%w: %s claims identity %q, gossiped as %q",
-				nettrans.ErrAttestRejected, addr, pc.ServerID(), peerID)
-		}
-		return pc.PeerMeasurement(), nil
+		return m.String(), nil
 	}
 	// The misbehavior ledger gossips per-node evidence over the accounting
 	// frame, so a blacklist verdict reached here convinces the rest of the
@@ -335,9 +351,22 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	membership := nettrans.NewMembership(memCfg)
 	defer membership.Stop()
 
+	// The daemon's node: the one relay path. Its conduit resolves attested
+	// peers only.
+	tcp = nettrans.NewTCPConduit(nettrans.ConduitConfig{
+		Resolve:    membership.Resolve,
+		PoolConfig: nettrans.PoolConfig{ID: cfg.id, DialTimeout: 3 * time.Second},
+	})
+	defer tcp.Close()
+	network, err := core.NewHost(core.NodeOptions{ID: cfg.id, Seed: cfg.seed}, env.relay, env.verifier, membership.Node(), stack, tcp)
+	if err != nil {
+		return err
+	}
+	node = network.Node(cfg.id)
+
 	srv = nettrans.NewServer(nettrans.ServerConfig{
 		ID:         cfg.id,
-		Service:    &nettrans.RelayService{Handshaker: hs, Backend: stack, Source: cfg.id},
+		Handler:    network.Direct(),
 		Membership: membership,
 		Admission:  cfg.admission,
 		Logf:       logf,
@@ -351,7 +380,7 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 		adv = addr.String()
 	}
 	membership.SetAdvertise(adv)
-	fmt.Printf("node %s: listening on %s, advertising %s (enclave %s)\n", cfg.id, addr, adv, encl.Measurement())
+	fmt.Printf("node %s: listening on %s, advertising %s (enclave %s)\n", cfg.id, addr, adv, node.Enclave().Measurement())
 
 	// The ops surface pairs the process-wide registry (hot-path counters
 	// and histograms from core/nettrans) with an instance registry of
@@ -362,7 +391,7 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	var ops *telemetry.OpsServer
 	if cfg.opsLn != nil {
 		inst := telemetry.NewRegistry()
-		registerNodeMetrics(inst, stack, cfg.admission, ledger, membership, srv)
+		registerNodeMetrics(inst, node, stack, cfg.admission, ledger, membership, srv)
 		ops = telemetry.NewOpsServer(telemetry.OpsConfig{
 			Registries: []*telemetry.Registry{telemetry.Default(), inst},
 			Traces:     telemetry.Traces(),
@@ -410,6 +439,9 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	}
 	membership.Start()
 	readyFlag.Store(true)
+	if cfg.readyHook != nil {
+		cfg.readyHook(node, engine)
+	}
 	if ready != nil {
 		ready <- addr.String()
 	}
@@ -498,23 +530,83 @@ func runView(w io.Writer, addr string) error {
 	return nil
 }
 
-// runClient attests the daemon and issues n queries over the single
-// session, concurrency at a time.
+// client is one user's node in -mode client: it relays nothing, and its
+// relays are the daemons of one fetched view.
+type client struct {
+	node   *core.Node
+	uni    *queries.Universe
+	tcp    *nettrans.TCPConduit
+	relays int
+}
+
+// newClient fetches addr's view and builds the client node over it: the
+// daemon at addr and its attested peers are the relays, resolved from the
+// snapshot and sampled from a local peer-sampling node that never gossips.
+// The analyzer is the one the cyclosa package deploys, trained from seed,
+// and the past-query table starts from a trending batch. Close releases
+// the connections.
+func newClient(env *attestationEnv, addr string, seed int64) (*client, error) {
+	snap, err := nettrans.FetchView(addr, nettrans.PoolConfig{DialTimeout: 3 * time.Second, RequestTimeout: 5 * time.Second})
+	if err != nil {
+		return nil, fmt.Errorf("view of %s: %w", addr, err)
+	}
+	addrs := map[string]string{snap.Self: addr}
+	relays := []rps.NodeID{rps.NodeID(snap.Self)}
+	for _, p := range snap.Peers {
+		if p.Attested && p.Addr != "" {
+			addrs[p.ID] = p.Addr
+			relays = append(relays, rps.NodeID(p.ID))
+		}
+	}
+
+	uni := queries.NewUniverse(queries.UniverseConfig{Seed: seed})
+	newAnalyzer, err := sensitivity.TrainAnalyzers(uni, []string{queries.TopicSex}, sensitivity.DefaultKMax, seed)
+	if err != nil {
+		return nil, err
+	}
+	id, err := clientID()
+	if err != nil {
+		return nil, err
+	}
+	tcp := nettrans.NewTCPConduit(nettrans.ConduitConfig{
+		Resolve:    nettrans.StaticResolver(addrs),
+		PoolConfig: nettrans.PoolConfig{ID: id, DialTimeout: 3 * time.Second, RequestTimeout: 15 * time.Second},
+	})
+	peers := rps.NewNode(rps.NodeID(id), relays, rps.Config{Seed: seed})
+	network, err := core.NewHost(core.NodeOptions{ID: id, Analyzer: newAnalyzer(), Seed: seed},
+		env.client, env.verifier, peers, nil, tcp)
+	if err != nil {
+		tcp.Close()
+		return nil, err
+	}
+	node := network.Node(id)
+	node.BootstrapTable(queries.NewTrendingSource(uni, seed).Batch(32))
+	return &client{node: node, uni: uni, tcp: tcp, relays: len(relays)}, nil
+}
+
+// clientID draws a fresh identity per client process, so two clients
+// never share (and clobber) a relay's session slot.
+func clientID() (string, error) {
+	var b [6]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", err
+	}
+	return "client-" + hex.EncodeToString(b[:]), nil
+}
+
+func (c *client) Close() error { return c.tcp.Close() }
+
+// runClient runs n protected searches, concurrency at a time, through the
+// daemons of addr's view, printing each search's k and relays.
 func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed int64) error {
-	encl := env.client.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, env.verifier)
+	c, err := newClient(env, addr, seed)
 	if err != nil {
 		return err
 	}
-	c, err := nettrans.DialService(addr, hs, nettrans.ClientConfig{ID: "cyclosa-client"})
-	if err != nil {
-		return fmt.Errorf("attested dial: %w", err)
-	}
 	defer c.Close()
-	fmt.Printf("client: attested %s (relay enclave %s)\n", c.ServerID(), c.PeerMeasurement())
+	fmt.Printf("client %s: %d relay(s) from the view of %s\n", c.node.ID(), c.relays, addr)
 
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: seed})
-	sample := sampleQueries(uni)
+	sample := sampleQueries(c.uni)
 	queryFor := func(i int) string {
 		if query != "" {
 			return query
@@ -523,11 +615,15 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 	}
 
 	if n <= 1 {
-		results, err := c.Query(queryFor(0))
+		res, err := c.node.Search(queryFor(0), time.Now())
 		if err != nil {
 			return err
 		}
-		printResults(queryFor(0), results)
+		printSearch(0, queryFor(0), res)
+		if res.EngineError != nil {
+			return fmt.Errorf("engine refused %q: %w", queryFor(0), res.EngineError)
+		}
+		printResults(queryFor(0), res.Results)
 		return nil
 	}
 
@@ -543,6 +639,7 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 		refused   atomic.Int64
 		firstErr  error
 		errOnce   sync.Once
+		printMu   sync.Mutex
 		latencies = make([]time.Duration, n)
 		wg        sync.WaitGroup
 	)
@@ -557,16 +654,19 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 					return
 				}
 				qStart := time.Now()
-				_, err := c.Query(queryFor(i))
+				res, err := c.node.Search(queryFor(i), time.Now())
 				latencies[i] = time.Since(qStart)
-				switch {
-				case err == nil:
-					answered.Add(1)
-				case isEngineRefusal(err):
-					refused.Add(1) // the engine said no; the transport worked
-				default:
+				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					return
+				}
+				printMu.Lock()
+				printSearch(i, queryFor(i), res)
+				printMu.Unlock()
+				if res.EngineError != nil {
+					refused.Add(1) // the engine said no; the relays worked
+				} else {
+					answered.Add(1)
 				}
 			}
 		}()
@@ -578,17 +678,19 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	fmt.Printf("client: %d queries over one attested session (%d in flight): %d answered, %d engine-refused in %v\n",
+	fmt.Printf("client: %d searches (%d in flight): %d answered, %d engine-refused in %v\n",
 		n, concurrency, answered.Load(), refused.Load(), elapsed.Round(time.Millisecond))
-	fmt.Printf("client: %.0f req/s, p50 %v, p99 %v\n",
+	fmt.Printf("client: %.0f searches/s, p50 %v, p99 %v\n",
 		float64(n)/elapsed.Seconds(),
 		latencies[n/2].Round(time.Microsecond),
 		latencies[n*99/100].Round(time.Microsecond))
 	return nil
 }
 
-func isEngineRefusal(err error) bool {
-	return errors.Is(err, nettrans.ErrEngineRefused)
+// printSearch reports one search's protection: its k and every relay that
+// carried one of its k+1 queries (the real one is not marked).
+func printSearch(i int, query string, res *core.SearchResult) {
+	fmt.Printf("client: search %d %q: k=%d via %s\n", i, query, res.K, strings.Join(res.Relays, ", "))
 }
 
 // sampleQueries derives a deterministic topical query pool from the

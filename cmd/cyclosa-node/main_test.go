@@ -6,11 +6,15 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cyclosa/internal/accounting"
+	"cyclosa/internal/core"
 	"cyclosa/internal/nettrans"
+	"cyclosa/internal/queries"
+	"cyclosa/internal/searchengine"
 )
 
 // testLimiter builds an admission limiter for in-process daemons, failing
@@ -68,14 +72,18 @@ func TestDemoModeMultiplexed(t *testing.T) {
 }
 
 // TestUnknownMode: a bad -mode must fail (non-zero exit in main) and name
-// the valid ones.
+// the valid ones — including the retired relay alias of node.
 func TestUnknownMode(t *testing.T) {
-	err := run([]string{"-mode", "nope"}, nil, nil)
-	if err == nil {
-		t.Fatal("unknown mode should fail")
-	}
-	if !strings.Contains(err.Error(), "unknown mode") || !strings.Contains(err.Error(), "node|client|view|demo") {
-		t.Fatalf("error should carry usage hint, got: %v", err)
+	for _, mode := range []string{"nope", "relay"} {
+		t.Run(mode, func(t *testing.T) {
+			err := run([]string{"-mode", mode}, nil, nil)
+			if err == nil {
+				t.Fatalf("mode %q should fail", mode)
+			}
+			if !strings.Contains(err.Error(), "unknown mode") || !strings.Contains(err.Error(), "node|client|view|demo") {
+				t.Fatalf("error should carry usage hint, got: %v", err)
+			}
+		})
 	}
 }
 
@@ -91,14 +99,122 @@ func TestClientManyQueriesOneSession(t *testing.T) {
 }
 
 // TestMismatchedIASSecret verifies that a client provisioned with a
-// different attestation secret is rejected by the daemon.
+// different attestation secret is rejected by the daemon: pairing fails
+// with ErrAttestRejected, and so does every search.
 func TestMismatchedIASSecret(t *testing.T) {
 	envNode := newAttestationEnv("secret-a")
 	envClient := newAttestationEnv("secret-b")
 	addr := startNode(t, envNode, nodeConfig{listen: "127.0.0.1:0", id: "node-a", seed: 1})
+	c, err := newClient(envClient, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.node.Attest(c.tcp, "node-a"); !errors.Is(err, nettrans.ErrAttestRejected) {
+		t.Fatalf("pairing err = %v, want ErrAttestRejected", err)
+	}
 	if err := runClient(envClient, addr, "query", 1, 1, 1); err == nil {
 		t.Fatal("mismatched attestation roots should fail the handshake")
 	}
+}
+
+// TestClientRunsProtocolAcrossDaemons is the cross-process protocol check:
+// three daemons that know each other only through gossip, and a client
+// that fetched one daemon's view. A sensitive search gets k >= 1 and goes
+// out through k+1 distinct daemons, none of them the client; each daemon's
+// engine sees the query under that daemon's own identity, and each
+// daemon's past-query table records what it relayed.
+func TestClientRunsProtocolAcrossDaemons(t *testing.T) {
+	env := newAttestationEnv("protocol-secret")
+	type daemon struct {
+		node   *core.Node
+		engine *searchengine.Engine
+	}
+	var mu sync.Mutex
+	daemons := map[string]daemon{}
+	hook := func(n *core.Node, e *searchengine.Engine) {
+		mu.Lock()
+		daemons[n.ID()] = daemon{n, e}
+		mu.Unlock()
+	}
+	seedAddr := startNode(t, env, nodeConfig{listen: "127.0.0.1:0", id: "daemon-0", seed: 1,
+		gossipEvery: 20 * time.Millisecond, readyHook: hook})
+	for _, id := range []string{"daemon-1", "daemon-2"} {
+		startNode(t, env, nodeConfig{listen: "127.0.0.1:0", id: id, seed: 1,
+			bootstrap: []string{seedAddr}, gossipEvery: 20 * time.Millisecond, readyHook: hook})
+	}
+	waitFor(t, "the seed to attest both joiners", func() bool {
+		snap, err := nettrans.FetchView(seedAddr, nettrans.PoolConfig{DialTimeout: time.Second, RequestTimeout: 2 * time.Second})
+		if err != nil {
+			return false
+		}
+		attested := 0
+		for _, p := range snap.Peers {
+			if p.Attested {
+				attested++
+			}
+		}
+		return attested == 2
+	})
+
+	c, err := newClient(env, seedAddr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sex := c.uni.Topic(queries.TopicSex)
+	query := sex.Terms[0] + " " + sex.Terms[1]
+	res, err := c.node.Search(query, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K < 1 {
+		t.Fatalf("sensitive query %q got k=%d (assessment %+v)", query, res.K, res.Assessment)
+	}
+	if len(res.Relays) != res.K+1 {
+		t.Fatalf("k=%d but %d relays answered: %v", res.K, len(res.Relays), res.Relays)
+	}
+	seen := map[string]bool{}
+	for _, id := range res.Relays {
+		if seen[id] || id == c.node.ID() {
+			t.Fatalf("relays %v are not k+1 distinct daemons apart from the client %s", res.Relays, c.node.ID())
+		}
+		seen[id] = true
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	observed := 0
+	for id, d := range daemons {
+		obs := d.engine.Observations()
+		for _, o := range obs {
+			if o.Source != id {
+				t.Fatalf("daemon %s's engine saw %q from %q, want the daemon's own identity", id, o.Query, o.Source)
+			}
+		}
+		if seen[id] && (len(obs) != 1 || d.node.TableLen() != 1) {
+			t.Fatalf("relay %s: engine saw %d queries, table holds %d; want 1 and 1", id, len(obs), d.node.TableLen())
+		}
+		if !seen[id] && (len(obs) != 0 || d.node.TableLen() != 0) {
+			t.Fatalf("unused daemon %s: engine saw %d queries, table holds %d", id, len(obs), d.node.TableLen())
+		}
+		observed += len(obs)
+	}
+	if observed != res.K+1 {
+		t.Fatalf("engines saw %d queries, want k+1 = %d", observed, res.K+1)
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
 }
 
 // TestBootstrapDiscovery: two daemons started with only -bootstrap <seed>

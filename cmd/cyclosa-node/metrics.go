@@ -14,6 +14,7 @@ import (
 
 	"cyclosa/internal/accounting"
 	"cyclosa/internal/backend"
+	"cyclosa/internal/core"
 	"cyclosa/internal/nettrans"
 	"cyclosa/internal/telemetry"
 )
@@ -41,11 +42,22 @@ func (v *viewSampler) snap() nettrans.ViewSnapshot {
 
 // registerNodeMetrics wires the daemon's subsystem stats into the instance
 // registry as scrape-time funcs. admission, ledger and srv may be nil
-// (bare-backend daemons); stack and membership are always present in node
-// mode.
-func registerNodeMetrics(r *telemetry.Registry, stack *backend.Stack,
+// (bare-backend daemons); node, stack and membership are always present in
+// node mode.
+func registerNodeMetrics(r *telemetry.Registry, node *core.Node, stack *backend.Stack,
 	admission *accounting.Limiter, ledger *accounting.Ledger,
 	membership *nettrans.Membership, srv *nettrans.Server) {
+
+	// The enclave's past-query table: it grows only from queries this
+	// daemon relays for clients — the material their fakes are drawn from.
+	r.GaugeFunc("cyclosa_core_past_query_table_len",
+		"Queries in the enclave's past-query table (relayed queries, the fake-query source).",
+		func() float64 { return float64(node.TableLen()) })
+	// Responder sessions: each lives as long as the client connection it
+	// was paired on.
+	r.GaugeFunc("cyclosa_core_relay_sessions",
+		"Responder sessions the relay holds, one per client paired on a live connection.",
+		func() float64 { return float64(node.SessionCount()) })
 
 	// Backend resilience layer (PR 7 counters).
 	r.CounterFunc("cyclosa_backend_calls_total",

@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"cyclosa/internal/core"
-	"cyclosa/internal/lda"
 	"cyclosa/internal/queries"
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/sensitivity"
 	"cyclosa/internal/transport"
-	"cyclosa/internal/wordnet"
 )
 
 // Config configures a CYCLOSA deployment.
@@ -86,25 +84,11 @@ func New(cfg Config) (*Network, error) {
 
 	var analyzerFor func(string) *sensitivity.Analyzer
 	if !cfg.DisableAdaptiveProtection {
-		db := wordnet.Build(uni, wordnet.BuildConfig{Seed: cfg.Seed})
-		var models []*lda.Model
-		for i, topic := range cfg.SensitiveTopics {
-			docs := queries.GenerateCorpus(uni, topic, queries.CorpusConfig{
-				Seed:      cfg.Seed + int64(i),
-				Documents: 800,
-			})
-			m, err := lda.Train(docs, lda.Config{Topics: 10, Iterations: 50, Seed: cfg.Seed + int64(i)})
-			if err != nil {
-				return nil, fmt.Errorf("cyclosa: train lda for %s: %w", topic, err)
-			}
-			models = append(models, m)
+		newAnalyzer, err := sensitivity.TrainAnalyzers(uni, cfg.SensitiveTopics, cfg.KMax, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("cyclosa: %w", err)
 		}
-		topics := cfg.SensitiveTopics
-		kmax := cfg.KMax
-		analyzerFor = func(nodeID string) *sensitivity.Analyzer {
-			det := sensitivity.NewCombinedDetector(db, models, 40, topics)
-			return sensitivity.NewAnalyzer(det, sensitivity.NewLinkability(0), kmax)
-		}
+		analyzerFor = func(string) *sensitivity.Analyzer { return newAnalyzer() }
 	}
 
 	inner, err := core.NewNetwork(core.NetworkOptions{

@@ -161,11 +161,13 @@
 // (simnet.ChaosOptions.Transport): the chaos suite passes with deliveries
 // flowing over loopback sockets.
 //
-// cmd/cyclosa-node turns this into a deployment: a long-running relay
-// daemon (-mode node) serving many concurrent clients, each over one
-// attested securechan session multiplexing queries as frame streams, with
-// graceful SIGTERM drain; and a client (-mode client -n N) issuing N
-// queries over a single session. Membership is decentralized: a daemon
+// cmd/cyclosa-node turns this into a deployment: every long-running
+// daemon (-mode node) is one core node whose enclave relays other users'
+// queries (core.NewHost, its Direct conduit behind a nettrans.Server), with
+// graceful SIGTERM drain; and a client (-mode client -n N) is one more
+// node that runs N protected searches — adaptive k, fakes from its own
+// table, k+1 distinct daemons paired over TCPConduit's attest frames
+// (transport.Pairer). Membership is decentralized: a daemon
 // started with only -bootstrap seed addresses joins the gossip overlay
 // (nettrans.Membership over gossip frames), discovers every other daemon
 // through rps view exchanges, re-attests peers as they enter its view

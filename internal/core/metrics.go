@@ -14,6 +14,8 @@ const (
 	forwardOutcomeOK          = "ok"
 	forwardOutcomeEngineError = "engine_error"
 	forwardOutcomeSelfRelay   = "self_relay"
+	forwardOutcomeThrottled   = "throttled"
+	forwardOutcomeNoSession   = "no_session"
 	forwardOutcomeUnavailable = "unavailable"
 	forwardOutcomeMisbehaved  = "misbehaved"
 	forwardOutcomeOversize    = "oversize"
@@ -32,11 +34,13 @@ var (
 
 	forwardOutcomes = telemetry.Default().CounterVec(
 		"cyclosa_core_forward_outcomes_total",
-		"Forward attempts by verdict: ok, engine_error, self_relay, unavailable, misbehaved, oversize, error.",
+		"Forward attempts by verdict: ok, engine_error, self_relay, throttled, no_session, unavailable, misbehaved, oversize, error.",
 		"outcome")
 	cForwardOK          = forwardOutcomes.With(forwardOutcomeOK)
 	cForwardEngineError = forwardOutcomes.With(forwardOutcomeEngineError)
 	cForwardSelfRelay   = forwardOutcomes.With(forwardOutcomeSelfRelay)
+	cForwardThrottled   = forwardOutcomes.With(forwardOutcomeThrottled)
+	cForwardNoSession   = forwardOutcomes.With(forwardOutcomeNoSession)
 	cForwardUnavailable = forwardOutcomes.With(forwardOutcomeUnavailable)
 	cForwardMisbehaved  = forwardOutcomes.With(forwardOutcomeMisbehaved)
 	cForwardOversize    = forwardOutcomes.With(forwardOutcomeOversize)

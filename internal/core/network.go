@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cyclosa/internal/accounting"
 	"cyclosa/internal/enclave"
 	"cyclosa/internal/queries"
 	"cyclosa/internal/rps"
@@ -67,7 +68,8 @@ type NetworkOptions struct {
 	// receives the in-process conduit and returns the conduit every forward
 	// will use. internal/simnet plugs its fault-injection layer in here; a
 	// nil Conduit keeps the direct path (and its allocation profile)
-	// untouched.
+	// untouched. When the returned conduit is also a transport.Pairer,
+	// attestation handshakes travel through it as well.
 	Conduit func(direct transport.Conduit) transport.Conduit
 }
 
@@ -94,6 +96,13 @@ type Network struct {
 	clientSendCost time.Duration
 	pairSeed       maphash.Seed
 	conduit        transport.Conduit
+	// pairer is conduit when it also carries pairings (the TCP conduit);
+	// nil pairs in process, straight with the relay node.
+	pairer transport.Pairer
+	// remote is set on host networks: a relay outside the member set lives
+	// in another process. In a NewNetwork deployment every relay is a
+	// member, so a non-member has left.
+	remote bool
 
 	// members is the copy-on-write node set: forwards read it lock-free,
 	// Join/Leave (serialized by joinMu) swap in a new copy. The zero-cost
@@ -169,34 +178,22 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 	}
 
 	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(EnclaveName, EnclaveVersion))
-	rpsNet := rps.NewNetwork(opts.Nodes, opts.RPSConfig, opts.Seed)
-
-	net := &Network{
-		dead:             make(map[string]struct{}),
-		engine:           opts.Backend,
-		engineFor:        opts.BackendFor,
-		model:            opts.LatencyModel,
-		ias:              ias,
-		verifier:         verifier,
-		rpsNet:           rpsNet,
-		clientSendCost:   opts.ClientSendCost,
-		pairSeed:         maphash.MakeSeed(),
-		seed:             opts.Seed,
-		analyzerFor:      opts.AnalyzerFor,
-		tableSize:        opts.TableSize,
-		bootstrapQueries: opts.BootstrapQueries,
-	}
-	for i := range net.pairShards {
-		net.pairShards[i].m = make(map[pairKey]*pairState)
-	}
-	net.conduit = directConduit{net}
+	net := newShell(opts.LatencyModel, opts.ClientSendCost)
+	net.engine = opts.Backend
+	net.engineFor = opts.BackendFor
+	net.ias = ias
+	net.verifier = enclave.NewVerifier(ias, enclave.MeasureCode(EnclaveName, EnclaveVersion))
+	net.rpsNet = rps.NewNetwork(opts.Nodes, opts.RPSConfig, opts.Seed)
+	net.seed = opts.Seed
+	net.analyzerFor = opts.AnalyzerFor
+	net.tableSize = opts.TableSize
+	net.bootstrapQueries = opts.BootstrapQueries
 	if opts.Conduit != nil {
-		net.conduit = opts.Conduit(directConduit{net})
+		net.setConduit(opts.Conduit(directConduit{net}))
 	}
 
 	members := &memberSet{nodes: make(map[string]*Node, opts.Nodes)}
-	for i, id := range rpsNet.NodeIDs() {
+	for i, id := range net.rpsNet.NodeIDs() {
 		node, err := net.buildNode(string(id), int64(i))
 		if err != nil {
 			return nil, err
@@ -207,8 +204,62 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 	net.members.Store(members)
 	net.nodeSeq = opts.Nodes
 
-	rpsNet.Run(opts.GossipRounds)
+	net.rpsNet.Run(opts.GossipRounds)
 	return net, nil
+}
+
+// NewHost builds a network around one local node whose relays live in
+// other processes: the deployment shape of a cyclosa-node daemon or
+// client. The node runs on platform, judges peers with verifier, samples
+// relays from peers and answers relayed queries from be (NullBackend if
+// nil). Its forwards and pairings go out through conduit, which must also
+// implement transport.Pairer to reach relays that are not local (nil keeps
+// the node relay-only). Direct returns the entry point a server fronting
+// the node hands inbound records and pairings to.
+//
+// A host network has no in-process overlay: Join, Leave, Kill, Gossip and
+// StartGossip belong to networks built by NewNetwork.
+func NewHost(opts NodeOptions, platform *enclave.Platform, verifier *enclave.Verifier, peers *rps.Node, be Backend, conduit transport.Conduit) (*Network, error) {
+	if be == nil {
+		be = NullBackend{}
+	}
+	net := newShell(transport.DefaultModel(opts.Seed), DefaultClientSendCost)
+	net.remote = true
+	if conduit != nil {
+		net.setConduit(conduit)
+	}
+	node, err := newNode(opts, platform, verifier, peers, be, net)
+	if err != nil {
+		return nil, err
+	}
+	net.members.Store(&memberSet{nodes: map[string]*Node{opts.ID: node}, order: []string{opts.ID}})
+	return net, nil
+}
+
+// newShell returns a network with no members, delivering through the
+// direct conduit.
+func newShell(model *transport.Model, clientSendCost time.Duration) *Network {
+	net := &Network{
+		dead:           make(map[string]struct{}),
+		model:          model,
+		clientSendCost: clientSendCost,
+		pairSeed:       maphash.MakeSeed(),
+	}
+	for i := range net.pairShards {
+		net.pairShards[i].m = make(map[pairKey]*pairState)
+	}
+	net.conduit = directConduit{net}
+	return net
+}
+
+// setConduit installs the conduit forwards go through; pairings use it too
+// when it is a transport.Pairer other than the direct conduit itself, which
+// pairs in process anyway.
+func (net *Network) setConduit(c transport.Conduit) {
+	net.conduit = c
+	if _, direct := c.(directConduit); !direct {
+		net.pairer, _ = c.(transport.Pairer)
+	}
 }
 
 // buildNode creates one protocol node (platform, enclave, handshaker,
@@ -445,20 +496,123 @@ func (net *Network) StopGossip() {
 
 // directConduit is the default delivery path: hand the record straight to
 // the relay's host entry point, in process. It is the innermost layer of
-// any conduit stack installed via NetworkOptions.Conduit.
+// any conduit stack installed via NetworkOptions.Conduit, and what a server
+// fronting the network's nodes hands inbound frames to (see Direct).
 type directConduit struct{ net *Network }
 
-var _ transport.Conduit = directConduit{}
+var (
+	_ transport.Conduit = directConduit{}
+	_ transport.Pairer  = directConduit{}
+)
+
+// Direct returns the network's in-process delivery path: forwards, pairings
+// and over-quota skips addressed to one of its nodes, as a server
+// (nettrans.ServerConfig.Handler) receives them off the wire. It answers
+// only for the network's own members.
+func (net *Network) Direct() transport.Conduit { return directConduit{net} }
+
+// Pair implements transport.Pairer: the relay named by to verifies the
+// offer, installs its half of the session for from and answers. A relay
+// this network does not hold fails the pairing as an attestation failure:
+// the endpoint does not serve the identity it was asked to prove.
+func (d directConduit) Pair(from, to string, offer []byte) ([]byte, error) {
+	return d.net.pairIn(nil, from, to, offer)
+}
+
+// Skip consumes the sequence number of a record addressed to relay to
+// without opening it: the shed path of per-client admission. The pair's
+// counters stay in step, so the client's next forward decrypts normally.
+func (d directConduit) Skip(from, to string, record []byte) error {
+	return d.net.skipIn(nil, from, to, record)
+}
 
 // Deliver hands one encrypted record to the relay and returns its encrypted
 // response. The member-set lookup is a lock-free snapshot read; an unknown
 // relay (never a member, or departed via Leave) surfaces as unavailability.
 func (d directConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
-	relay := d.net.members.Load().nodes[to]
+	return d.net.deliverIn(nil, from, to, payload, now)
+}
+
+// Scope opens a connection scope over the network's relays (see Scope).
+func (d directConduit) Scope() *Scope { return &Scope{net: d.net} }
+
+// maxScopeSessions bounds the responder sessions one connection may hold
+// across the network's relays, so a peer cannot grow a relay's session
+// table without bound by pairing under ever new identities. It covers
+// every (client, relay) pair of a few dozen in-process nodes sharing one
+// connection.
+var maxScopeSessions int64 = 4096
+
+// Scope is the entry point of one connection into the network's relays:
+// a server hands it the forwards, pairings and skips that arrive on that
+// connection. A session paired through a scope belongs to it. It serves
+// only records that arrive through the same scope, only a pairing through
+// the same scope replaces it, and closing the scope closes it. So a peer
+// on another connection that names a client it is not cannot use, skip or
+// re-pair that client's sessions, and a connection's sessions end with it.
+// Anything a scope will not serve is answered ErrNoSession, unopened. A
+// session paired in process (directConduit.Pair) belongs to no scope and
+// serves records from any: a deployment that pairs its nodes in process
+// and delivers over the wire trusts its own connections.
+type Scope struct {
+	net      *Network
+	closed   atomic.Bool
+	sessions atomic.Int64 // responder sessions held, across the relays
+}
+
+var (
+	_ transport.Conduit = (*Scope)(nil)
+	_ transport.Pairer  = (*Scope)(nil)
+)
+
+// Pair is directConduit.Pair for a pairing that arrived through s.
+func (s *Scope) Pair(from, to string, offer []byte) ([]byte, error) {
+	return s.net.pairIn(s, from, to, offer)
+}
+
+// Skip is directConduit.Skip for a record that arrived through s.
+func (s *Scope) Skip(from, to string, record []byte) error {
+	return s.net.skipIn(s, from, to, record)
+}
+
+// Deliver is directConduit.Deliver for a record that arrived through s.
+func (s *Scope) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
+	return s.net.deliverIn(s, from, to, payload, now)
+}
+
+// Close ends the scope: every session paired through it is closed, and
+// later pairings through it are refused.
+func (s *Scope) Close() {
+	if s.closed.Swap(true) {
+		return
+	}
+	for _, node := range s.net.members.Load().nodes {
+		node.closeScope(s)
+	}
+}
+
+func (net *Network) pairIn(scope *Scope, from, to string, offer []byte) ([]byte, error) {
+	relay := net.members.Load().nodes[to]
+	if relay == nil {
+		return nil, fmt.Errorf("core: relay %s is not served here", to)
+	}
+	return relay.respondPair(scope, from, offer)
+}
+
+func (net *Network) skipIn(scope *Scope, from, to string, record []byte) error {
+	relay := net.members.Load().nodes[to]
+	if relay == nil {
+		return fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, to)
+	}
+	return relay.skipRecord(scope, from, record)
+}
+
+func (net *Network) deliverIn(scope *Scope, from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
+	relay := net.members.Load().nodes[to]
 	if relay == nil {
 		return nil, 0, fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, to)
 	}
-	resp, err := relay.handleForward(from, payload, now)
+	resp, err := relay.forwardIn(scope, from, payload, now)
 	return resp, 0, err
 }
 
@@ -479,6 +633,15 @@ func (net *Network) forward(client *Node, relayID, query string, now time.Time) 
 	start := time.Now()
 	var tm forwardTiming
 	resp, lat, err := net.forwardExchange(client, relayID, query, now, &tm)
+	if errors.Is(err, ErrNoSession) {
+		// The relay holds no session for the pair (it restarted, or the
+		// connection the pair was attested on closed) and opened nothing:
+		// the pair is broken, so re-attest and send once more.
+		var again time.Duration
+		tm = forwardTiming{}
+		resp, again, err = net.forwardExchange(client, relayID, query, now, &tm)
+		lat += again
+	}
 	totalNS := int64(time.Since(start))
 	if tm.encryptNS > 0 {
 		stageEncrypt.Observe(time.Duration(tm.encryptNS))
@@ -515,6 +678,10 @@ func classifyForward(resp forwardResponse, err error) (string, *telemetry.Counte
 		return forwardOutcomeOK, cForwardOK
 	case errors.Is(err, ErrSelfRelay):
 		return forwardOutcomeSelfRelay, cForwardSelfRelay
+	case errors.Is(err, accounting.ErrClientThrottled):
+		return forwardOutcomeThrottled, cForwardThrottled
+	case errors.Is(err, ErrNoSession):
+		return forwardOutcomeNoSession, cForwardNoSession
 	case errors.Is(err, ErrWireOversize):
 		return forwardOutcomeOversize, cForwardOversize
 	case errors.Is(err, ErrRelayMisbehaved):
@@ -537,12 +704,15 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 	if !net.Alive(relayID) {
 		return forwardResponse{}, 0, ErrRelayUnavailable
 	}
+	// A relay outside the member set is reachable only on a host network
+	// (it lives in another process) and through a conduit that also
+	// carries the pairing; anywhere else it is unknown or has left.
 	relay := net.members.Load().nodes[relayID]
-	if relay == nil {
+	if relay == nil && (!net.remote || net.pairer == nil) {
 		return forwardResponse{}, 0, fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, relayID)
 	}
 
-	ps := net.pairEntry(client.id, relay.id)
+	ps := net.pairEntry(client.id, relayID)
 	// The secure channel enforces strictly increasing record sequence
 	// numbers, so the encrypt → relay → decrypt exchange of one pair is a
 	// critical section; distinct pairs proceed in parallel. Attestation
@@ -559,7 +729,7 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 	if net.members.Load().nodes[relayID] != relay {
 		return forwardResponse{}, 0, ErrRelayUnavailable
 	}
-	if err := net.ensurePairLocked(ps, client, relay); err != nil {
+	if err := net.ensurePairLocked(ps, client, relayID); err != nil {
 		return forwardResponse{}, 0, err
 	}
 
@@ -601,11 +771,17 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 	respCT, injected, err := net.conduit.Deliver(client.id, relayID, ct, now)
 	tm.deliverNS = int64(time.Since(delStart))
 	latency += injected
+	if errors.Is(err, accounting.ErrClientThrottled) {
+		// Admission shed the record before opening it and skipped its
+		// sequence number: both counters are still in step, so the pair
+		// survives and only this forward failed.
+		return forwardResponse{}, latency, err
+	}
 	if err != nil {
 		// The request record consumed a send sequence number but its receipt
 		// is unconfirmed: the pair may be desynchronized either way.
 		net.breakPair(ps, client, relay)
-		if errors.Is(err, ErrRelayUnavailable) {
+		if errors.Is(err, ErrRelayUnavailable) || errors.Is(err, ErrNoSession) {
 			return forwardResponse{}, latency, err
 		}
 		return forwardResponse{}, latency, fmt.Errorf("%w: relay %s: %v", ErrRelayMisbehaved, relayID, err)
@@ -650,14 +826,18 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 // sequence mismatches; discarding both halves makes the next forward
 // re-attest from scratch instead. Both halves are closed so per-session
 // observers (the simnet nonce checker) can release their bookkeeping.
-// Caller holds ps.mu, which also serializes this with any use of either
-// half: both are only ever touched inside the pair's critical section.
+// A relay in another process (relay nil) keeps its stale half until the
+// next pairing replaces it. Caller holds ps.mu, which also serializes this
+// with any use of either half: both are only ever touched inside the pair's
+// critical section.
 func (net *Network) breakPair(ps *pairState, client, relay *Node) {
 	if ps.client != nil {
 		ps.client.Close()
 	}
 	ps.client = nil
-	relay.dropSession(client.id)
+	if relay != nil {
+		relay.dropSession(client.id)
+	}
 }
 
 // pairShardFor hashes a pair key onto its shard.
@@ -700,25 +880,29 @@ func (net *Network) pair(client *Node, relay *Node) (*pairState, error) {
 	ps := net.pairEntry(client.id, relay.id)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if err := net.ensurePairLocked(ps, client, relay); err != nil {
+	if err := net.ensurePairLocked(ps, client, relay.id); err != nil {
 		return nil, err
 	}
 	return ps, nil
 }
 
 // ensurePairLocked runs the attestation handshake if the pair has no live
-// session (first use, or after breakPair discarded a desynchronized one).
+// session (first use, or after breakPair discarded a desynchronized one):
+// through the conduit when it carries pairings, otherwise in process.
 // Caller holds ps.mu.
-func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node) error {
+func (net *Network) ensurePairLocked(ps *pairState, client *Node, relayID string) error {
 	if ps.client != nil {
 		return nil
 	}
-	cs, rs, err := securechan.EstablishPair(client.handshaker, relay.handshaker)
+	var p transport.Pairer = net.pairer
+	if p == nil {
+		p = directConduit{net}
+	}
+	cs, err := client.attest(p, relayID)
 	if err != nil {
-		return fmt.Errorf("attested session %s->%s: %w", client.id, relay.id, err)
+		return err
 	}
 	ps.client = cs
-	relay.admitSession(client.id, rs)
 	return nil
 }
 

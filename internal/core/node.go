@@ -15,6 +15,8 @@ import (
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/securechan"
 	"cyclosa/internal/sensitivity"
+	"cyclosa/internal/transport"
+	"cyclosa/internal/wire"
 )
 
 // EnclaveName and EnclaveVersion define the measured code identity of the
@@ -69,6 +71,13 @@ var (
 	// ErrSelfRelay rejects a node relaying its own query, which would show
 	// the requester's identity to the engine.
 	ErrSelfRelay = errors.New("core: node cannot relay its own query")
+	// ErrNoSession is a relay's answer to a record or pairing it will not
+	// serve on the connection it arrived on: it holds no session for the
+	// pair (it restarted, or the connection the pair was attested on
+	// closed), the pair belongs to another connection, or the connection's
+	// session table is full. The relay opened nothing. The client breaks
+	// the pair and re-pairs; nobody is blacklisted.
+	ErrNoSession = errors.New("core: relay holds no session for this pair")
 )
 
 // NodeStats counts a node's activity.
@@ -134,6 +143,9 @@ type SearchResult struct {
 	K int
 	// RealRelay is the peer that forwarded the real query.
 	RealRelay string
+	// Relays lists every relay that answered one of the search's k+1
+	// forwards, real and fake alike, in completion order.
+	Relays []string
 	// Latency is the simulated end-to-end latency of the real query,
 	// including the client-side cost of dispatching the fakes.
 	Latency time.Duration
@@ -150,6 +162,10 @@ type SearchResult struct {
 // channel's record sequence numbers leave no other order).
 type relaySession struct {
 	sess *securechan.Session
+
+	// scope is the connection the session was paired through (nil: paired
+	// in process). Only that connection may use, skip or replace it.
+	scope *Scope
 
 	// relayed is this session's lane into the node's relayed counter:
 	// forwards accumulate here and net-commit in batches (see nodeCounters).
@@ -391,6 +407,14 @@ func (n *Node) Enclave() *enclave.Enclave { return n.encl }
 // enclave state and not exposed.
 func (n *Node) TableLen() int { return n.state.table.Len() }
 
+// SessionCount returns the number of responder sessions the node's relay
+// holds, one per client paired with it.
+func (n *Node) SessionCount() int {
+	n.state.mu.RLock()
+	defer n.state.mu.RUnlock()
+	return len(n.state.sessions)
+}
+
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() NodeStats {
 	return n.stats.snapshot()
@@ -411,18 +435,148 @@ func (n *Node) BootstrapTable(queries []string) {
 	n.state.table.AddAll(queries)
 }
 
-// admitSession installs a responder-side session (called by the network
-// after mutual attestation), closing any leftover it replaces.
-func (n *Node) admitSession(peer string, sess *securechan.Session) {
+// attest runs the attested key exchange with relayID through p: this
+// node's offer goes out, the relay installs its half and answers with its
+// own offer, which is verified here. It returns this node's half. A
+// transport failure stays ErrRelayUnavailable; anything else — a refused
+// offer, an unverifiable answer — is ErrRelayMisbehaved, like a forged
+// record.
+func (n *Node) attest(p transport.Pairer, relayID string) (*securechan.Session, error) {
+	binding := pairBinding(n.id, relayID)
+	own, err := n.handshaker.Offer(binding)
+	if err != nil {
+		return nil, err
+	}
+	offer, err := own.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	answer, err := p.Pair(n.id, relayID, offer)
+	if err != nil {
+		if errors.Is(err, ErrRelayUnavailable) || errors.Is(err, ErrNoSession) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: pairing with %s: %w", ErrRelayMisbehaved, relayID, err)
+	}
+	peer, err := securechan.UnmarshalHandshakeMsg(answer)
+	if err != nil {
+		return nil, fmt.Errorf("%w: answer from %s: %w", ErrRelayMisbehaved, relayID, err)
+	}
+	sess, err := n.handshaker.Establish(own, peer, binding, true)
+	if err != nil {
+		return nil, fmt.Errorf("%w: attestation of %s: %w", ErrRelayMisbehaved, relayID, err)
+	}
+	return sess, nil
+}
+
+// Attest verifies the enclave serving relayID through p with one pairing
+// exchange and returns its attested code measurement. The session is
+// closed at once; the daemon's attestation directory uses this to check
+// every peer entering its view.
+func (n *Node) Attest(p transport.Pairer, relayID string) (enclave.Measurement, error) {
+	sess, err := n.attest(p, relayID)
+	if err != nil {
+		return enclave.Measurement{}, err
+	}
+	sess.Close()
+	return sess.PeerMeasurement(), nil
+}
+
+// pairBinding is what both offers of a pairing commit to: the client's
+// and the relay's identities, so an offer cannot be replayed to another
+// relay or under another client's name.
+func pairBinding(from, to string) []byte {
+	return wire.AppendString(wire.AppendString(nil, from), to)
+}
+
+// respondPair is the relay half of a pairing: verify the client's offer
+// (made for from -> this node), install the responder session for from in
+// scope and answer with this node's own offer.
+func (n *Node) respondPair(scope *Scope, from string, offer []byte) ([]byte, error) {
+	peer, err := securechan.UnmarshalHandshakeMsg(offer)
+	if err != nil {
+		return nil, err
+	}
+	binding := pairBinding(from, n.id)
+	own, err := n.handshaker.Offer(binding)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := n.handshaker.Establish(own, peer, binding, false)
+	if err != nil {
+		return nil, err
+	}
+	answer, err := own.Marshal()
+	if err == nil {
+		err = n.admitSession(scope, from, sess)
+	}
+	if err != nil {
+		sess.Close()
+		return nil, err
+	}
+	return answer, nil
+}
+
+// skipRecord consumes the sequence number of a record from peer without
+// opening it (securechan.Session.Skip): the host-side shed path of
+// per-client admission, which spends no AEAD or engine work on the record.
+// Through a scope it reaches only a session that serves records arriving
+// through that scope.
+func (n *Node) skipRecord(scope *Scope, peer string, record []byte) error {
+	n.state.mu.RLock()
+	rs := n.state.sessions[peer]
+	n.state.mu.RUnlock()
+	if rs == nil || (scope != nil && !rs.servesIn(scope)) {
+		return fmt.Errorf("%w: skip from %s", ErrNoSession, peer)
+	}
+	return rs.sess.Skip(record)
+}
+
+// admitSession installs a responder-side session (called after mutual
+// attestation), closing any leftover it replaces. A pairing through a
+// scope may replace only a session of the same scope, and is refused
+// once the scope is closed or holds maxScopeSessions sessions; an
+// in-process pairing (scope nil) may replace any.
+func (n *Node) admitSession(scope *Scope, peer string, sess *securechan.Session) error {
 	n.state.mu.Lock()
 	defer n.state.mu.Unlock()
-	if old := n.state.sessions[peer]; old != nil {
-		old.sess.Close()
-		old.relayed.Close()
+	old := n.state.sessions[peer]
+	if scope != nil {
+		switch {
+		case old != nil && old.scope != scope:
+			return fmt.Errorf("%w: %s is paired on another connection", ErrNoSession, peer)
+		case scope.closed.Load():
+			return fmt.Errorf("%w: connection closed", ErrNoSession)
+		case old == nil && scope.sessions.Load() >= maxScopeSessions:
+			return fmt.Errorf("%w: connection holds %d sessions", ErrNoSession, maxScopeSessions)
+		}
+		scope.sessions.Add(1)
+	}
+	if old != nil {
+		old.close()
 	}
 	n.state.sessions[peer] = &relaySession{
 		sess:    sess,
+		scope:   scope,
 		relayed: n.stats.relayed.Handle(0),
+	}
+	return nil
+}
+
+// servesIn reports whether rs answers records that arrive through scope: a
+// session paired through the same scope, or one paired in process — a
+// deployment that pairs its nodes in process and delivers over the wire
+// trusts its own connections.
+func (rs *relaySession) servesIn(scope *Scope) bool {
+	return rs != nil && (rs.scope == scope || rs.scope == nil)
+}
+
+// close releases a responder session that has left the session map.
+func (rs *relaySession) close() {
+	rs.sess.Close()
+	rs.relayed.Close()
+	if rs.scope != nil {
+		rs.scope.sessions.Add(-1)
 	}
 }
 
@@ -431,12 +585,23 @@ func (n *Node) admitSession(peer string, sess *securechan.Session) {
 // observers (the simnet nonce checker) release their bookkeeping — the
 // same both-halves-closed rule breakPair follows.
 func (n *Node) closeSessions() {
+	n.closeMatching(func(*relaySession) bool { return true })
+}
+
+// closeScope discards and closes every responder-side session paired
+// through scope: its connection has ended.
+func (n *Node) closeScope(scope *Scope) {
+	n.closeMatching(func(rs *relaySession) bool { return rs.scope == scope })
+}
+
+func (n *Node) closeMatching(match func(*relaySession) bool) {
 	n.state.mu.Lock()
 	defer n.state.mu.Unlock()
 	for peer, rs := range n.state.sessions {
-		rs.sess.Close()
-		rs.relayed.Close()
-		delete(n.state.sessions, peer)
+		if match(rs) {
+			rs.close()
+			delete(n.state.sessions, peer)
+		}
 	}
 }
 
@@ -447,10 +612,9 @@ func (n *Node) dropSession(peer string) {
 	n.state.mu.Lock()
 	defer n.state.mu.Unlock()
 	if old := n.state.sessions[peer]; old != nil {
-		old.sess.Close()
-		old.relayed.Close()
+		old.close()
+		delete(n.state.sessions, peer)
 	}
-	delete(n.state.sessions, peer)
 }
 
 // handleForward is the host-side entry point of the relay: it passes the
@@ -458,9 +622,19 @@ func (n *Node) dropSession(peer string) {
 // relay-owned scratch and is valid only until the next forward from the
 // same peer; callers must decrypt or copy it before issuing another.
 func (n *Node) handleForward(from string, payload []byte, now time.Time) ([]byte, error) {
+	return n.forwardIn(nil, from, payload, now)
+}
+
+// forwardIn is handleForward for a record that arrived through scope: a
+// scoped record is served only by a session paired through the same scope
+// or in process, and is otherwise answered ErrNoSession, unopened.
+func (n *Node) forwardIn(scope *Scope, from string, payload []byte, now time.Time) ([]byte, error) {
 	n.state.mu.RLock()
 	rs := n.state.sessions[from]
 	n.state.mu.RUnlock()
+	if scope != nil && !rs.servesIn(scope) {
+		return nil, fmt.Errorf("%w: record from %s", ErrNoSession, from)
+	}
 	if rs != nil {
 		// Count through the session's own accumulation lane: the shared
 		// counter is touched only every commit-threshold forwards.
@@ -506,7 +680,7 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		relays = relays[:k+1]
 	}
 
-	res := &SearchResult{Assessment: assessment, K: k}
+	res := &SearchResult{Assessment: assessment, K: k, Relays: make([]string, 0, k+1)}
 
 	// Client-side dispatch cost: serializing and encrypting each of the k+1
 	// requests is sequential work in the extension (this is why latency
@@ -549,6 +723,9 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	// fakes' pages go back to the pool unread.
 	var realErr error
 	for o := range outcomes {
+		if o.err == nil {
+			res.Relays = append(res.Relays, o.usedRelay)
+		}
 		if !o.real {
 			o.reply.releasePage()
 			if o.err == nil {
@@ -561,7 +738,7 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		res.RealRelay = o.usedRelay
 		switch {
 		case o.err != nil:
-			realErr = fmt.Errorf("%w: %v", ErrRelayFailed, o.err)
+			realErr = fmt.Errorf("%w: %w", ErrRelayFailed, o.err)
 		case o.reply.EngineError != "":
 			// Classify from the wire string so callers can errors.Is against
 			// the backend taxonomy (overloaded / timeout / breaker-open).
@@ -642,7 +819,11 @@ func (c *relayClaims) claimReplacement(self string, candidates []rps.NodeID) str
 // blacklisted nor misbehavior-charged and pays no timeout — the query is
 // simply retried through a different relay whose engine may be healthy. If
 // every attempt ends in engine failure the last engine reply is returned
-// (no transport error occurred; the caller surfaces EngineError).
+// (no transport error occurred; the caller surfaces EngineError). A relay
+// that throttled this client (accounting.ErrClientThrottled), or that
+// still held no session for the pair after one re-pairing (ErrNoSession),
+// is treated the same way: nobody is blacklisted, no timeout is charged,
+// and the query moves to another relay.
 // Replacements are claimed in claims, shared by every forward of the
 // search. The returned reply's page buffer belongs to the caller.
 func (n *Node) forwardWithRetry(relay, query string, now time.Time, claims *relayClaims) (forwardResponse, string, time.Duration, error) {
@@ -672,6 +853,10 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, claims *rela
 			n.peers.Blacklist(rps.NodeID(current))
 			n.stats.blacklisted.Add(1)
 			forwardBlacklists.Inc()
+		case errors.Is(err, accounting.ErrClientThrottled), errors.Is(err, ErrNoSession):
+			// The relay is honest but busy with this client's quota, or
+			// would not pair on this connection: try another one, charging
+			// nothing.
 		case errors.Is(err, ErrSelfRelay):
 			// Re-sample without blacklisting (the node is not its own enemy)
 			// and without consuming an attempt: no forward was issued, so the
@@ -693,6 +878,9 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, claims *rela
 				// No replacement relay, but a relay did answer: degrade to
 				// its engine-failure reply instead of claiming no peers.
 				return engineReply, engineRelay, total, nil
+			}
+			if errors.Is(lastErr, accounting.ErrClientThrottled) {
+				return forwardResponse{}, current, total, lastErr
 			}
 			return forwardResponse{}, current, total, ErrNoPeers
 		}

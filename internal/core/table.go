@@ -8,6 +8,13 @@
 // (simulated) enclave call gate; components that touch only the local
 // user's data — the sensitivity analysis — run outside, minimizing trusted
 // code exactly as the paper argues (§IV).
+//
+// A Network holds the nodes of one process. NewNetwork builds a whole
+// deployment in process; NewHost builds one node whose relays live in
+// other processes, as a cyclosa-node daemon or client runs it. Pairing —
+// the attested key exchange before a client's first forward to a relay —
+// goes through the conduit when it is a transport.Pairer (TCP), and
+// straight to the in-process relay node otherwise.
 package core
 
 import (

@@ -9,15 +9,15 @@ import (
 
 // Quote is the attestation evidence an enclave presents to a remote
 // verifier: the enclave measurement, 64 bytes of caller-chosen report data
-// (CYCLOSA binds the enclave's ephemeral public key here), and a signature
-// by the platform's attestation key.
+// (CYCLOSA binds the enclave's handshake public key and a fresh per-offer
+// nonce here), and a signature by the platform's attestation key.
 type Quote struct {
 	// PlatformID identifies the signing platform.
 	PlatformID string
 	// Measurement is the attested enclave's code identity.
 	Measurement Measurement
 	// ReportData carries caller-bound data (e.g. a key-exchange public key
-	// hash), preventing quote replay for a different handshake.
+	// hash and a nonce), preventing quote replay for a different handshake.
 	ReportData [64]byte
 	// Signature is the platform attestation signature.
 	Signature []byte

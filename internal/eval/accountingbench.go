@@ -10,12 +10,12 @@ import (
 	"cyclosa/internal/core"
 	"cyclosa/internal/enclave"
 	"cyclosa/internal/nettrans"
-	"cyclosa/internal/securechan"
+	"cyclosa/internal/rps"
 )
 
 // AccountingBenchOptions configures the admission-control benchmark behind
-// cyclosa-bench's -exp accounting: closed-loop clients drive the attested
-// service plane well past their per-client rate, measuring what the
+// cyclosa-bench's -exp accounting: closed-loop clients drive a relay
+// daemon's data plane well past their per-client rate, measuring what the
 // token-bucket edge admits, what it sheds, and that the forward hot path
 // kept its allocation budget with the accounting seam in place. Tracked PR
 // over PR in BENCH_accounting.json.
@@ -85,11 +85,12 @@ type AccountingBenchHistoryEntry struct {
 }
 
 // RunAccountingBench measures the admission edge end to end: Clients
-// closed-loop clients, each over its own attested session, hammer one
-// throttled relay service for Duration; every query either completes or
-// fails with the typed accounting.ErrClientThrottled. A second phase
-// re-measures the bare forward hot path to prove the per-session
-// accounting seam kept the allocation budget.
+// closed-loop client nodes, each over its own connection (and so its own
+// hello identity and bucket), forward through one throttled relay daemon
+// for Duration; every forward either completes or fails with the typed
+// accounting.ErrClientThrottled. A second phase re-measures the bare
+// forward hot path to prove the per-session accounting seam kept the
+// allocation budget.
 func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, error) {
 	if opts.ClientQPS <= 0 {
 		opts.ClientQPS = 50
@@ -107,10 +108,14 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 		opts.HotPathIterations = 20000
 	}
 
+	const relayID = "accounting-bench"
 	ias := enclave.NewIAS()
 	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	relayPlat := enclave.NewDeterministicPlatform("accounting-bench-relay", []byte("accountingbench"), ias)
-	hsRelay, err := securechan.NewHandshaker(relayPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
+	platform := func(id string) *enclave.Platform {
+		return enclave.NewDeterministicPlatform(id, []byte("accountingbench"), ias)
+	}
+	relay, err := core.NewHost(core.NodeOptions{ID: relayID, Seed: opts.Seed}, platform(relayID), verifier,
+		rps.NewNode(relayID, nil, rps.Config{}), core.NullBackend{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -119,34 +124,37 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 		return nil, err
 	}
 	srv := nettrans.NewServer(nettrans.ServerConfig{
-		ID:        "accounting-bench",
-		Service:   &nettrans.RelayService{Handshaker: hsRelay, Backend: core.NullBackend{}, Source: "accounting-bench"},
+		ID:        relayID,
+		Handler:   relay.Direct(),
 		Admission: lim,
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
 	defer srv.Close()
+	resolve := nettrans.StaticResolver(map[string]string{relayID: srv.Addr().String()})
 
-	clients := make([]*nettrans.Client, opts.Clients)
+	type client struct {
+		net  *core.Network
+		node *core.Node
+	}
+	clients := make([]client, opts.Clients)
 	for i := range clients {
-		plat := enclave.NewDeterministicPlatform(fmt.Sprintf("accounting-bench-client-%d", i), []byte("accountingbench"), ias)
-		hs, err := securechan.NewHandshaker(plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
+		id := fmt.Sprintf("bench-client-%d", i)
+		tcp := nettrans.NewTCPConduit(nettrans.ConduitConfig{
+			Resolve:    resolve,
+			PoolConfig: nettrans.PoolConfig{ID: id, RequestTimeout: 30 * time.Second},
+		})
+		defer tcp.Close()
+		net, err := core.NewHost(core.NodeOptions{ID: id, Seed: opts.Seed + int64(i) + 1}, platform(id), verifier,
+			rps.NewNode(rps.NodeID(id), []rps.NodeID{relayID}, rps.Config{}), nil, tcp)
 		if err != nil {
 			return nil, err
 		}
-		c, err := nettrans.DialService(srv.Addr().String(), hs, nettrans.ClientConfig{
-			ID:             fmt.Sprintf("bench-client-%d", i),
-			RequestTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("client %d dial: %w", i, err)
-		}
-		defer c.Close()
-		clients[i] = c
-		// One warmup query per client so attestation and scratch growth
+		clients[i] = client{net: net, node: net.Node(id)}
+		// One warmup forward per client so attestation and scratch growth
 		// are not charged to the window (it also spends one token).
-		if _, err := c.Query("accounting warmup"); err != nil {
+		if err := net.RelayRoundTrip(clients[i].node, relayID, "accounting warmup", time.Now()); err != nil {
 			return nil, fmt.Errorf("client %d warmup: %w", i, err)
 		}
 	}
@@ -159,11 +167,11 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 	deadline := start.Add(opts.Duration)
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c *nettrans.Client) {
+		go func(i int, c client) {
 			defer wg.Done()
 			var adm, thr uint64
 			for time.Now().Before(deadline) {
-				_, err := c.Query("accounting probe")
+				err := c.net.RelayRoundTrip(c.node, relayID, "accounting probe", time.Now())
 				switch {
 				case err == nil:
 					adm++
@@ -195,7 +203,7 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 	st := lim.Stats()
 	offered := admitted + throttled
 	return &AccountingBenchResult{
-		Benchmark:              "Per-client admission edge (token bucket at the attested service plane)",
+		Benchmark:              "Per-client admission edge (token bucket on the relay's data frames)",
 		ClientQPS:              opts.ClientQPS,
 		Burst:                  opts.Burst,
 		Clients:                opts.Clients,

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"cyclosa/internal/testutil"
 )
 
 // TestRunAccountingBench drives the admission bench at test scale: the
@@ -39,11 +41,16 @@ func TestRunAccountingBench(t *testing.T) {
 	if r.LimiterAdmitted != r.Admitted+uint64(r.Clients) || r.LimiterThrottled != r.Throttled {
 		t.Fatalf("limiter counters disagree with client observations: %+v", r)
 	}
-	if r.HotPathAllocsPerOp > 3 {
-		t.Fatalf("hot path blew the 3 allocs/op budget: %.2f", r.HotPathAllocsPerOp)
-	}
-	if r.Failed() {
-		t.Fatalf("Failed() on a passing run: %+v", r)
+	// The race detector makes sync.Pool drop puts at random, so the
+	// pooled hot path allocates there; the budget is pinned without -race
+	// (this test in tier-1, and cyclosa-bench -exp accounting's Failed()).
+	if !testutil.RaceEnabled {
+		if r.HotPathAllocsPerOp > 3 {
+			t.Fatalf("hot path blew the 3 allocs/op budget: %.2f", r.HotPathAllocsPerOp)
+		}
+		if r.Failed() {
+			t.Fatalf("Failed() on a passing run: %+v", r)
+		}
 	}
 	if r.String() == "" {
 		t.Fatal("empty rendering")

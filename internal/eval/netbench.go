@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"cyclosa/internal/core"
-	"cyclosa/internal/enclave"
 	"cyclosa/internal/nettrans"
 	"cyclosa/internal/rps"
-	"cyclosa/internal/securechan"
 	"cyclosa/internal/stats"
 	"cyclosa/internal/transport"
 )
@@ -17,9 +15,8 @@ import (
 // NetBenchOptions configures the network-transport benchmark behind
 // cyclosa-bench's -exp net: the forward round trip measured side by side
 // over comparative transport variants (direct / TCP without coalescing /
-// TCP with coalescing / the attested service plane with query batching),
-// so each layer of the data plane's cost — and each optimization's payoff —
-// is tracked PR over PR in BENCH_net.json.
+// TCP with coalescing), so each layer of the data plane's cost — and each
+// optimization's payoff — is tracked PR over PR in BENCH_net.json.
 type NetBenchOptions struct {
 	// Seed drives network randomness.
 	Seed int64
@@ -49,8 +46,7 @@ func (o *NetBenchOptions) applyDefaults() {
 
 // NetBenchVariant is one transport variant's measurement.
 type NetBenchVariant struct {
-	// Name identifies the variant: "direct", "tcp", "tcp+coalesce",
-	// "tcp+coalesce+query-batch".
+	// Name identifies the variant: "direct", "tcp", "tcp+coalesce".
 	Name string `json:"name"`
 	// Concurrency is the closed-loop client count of this variant.
 	Concurrency int `json:"concurrency"`
@@ -65,8 +61,8 @@ type NetBenchVariant struct {
 	P50NsPerOp float64 `json:"p50_ns_per_op"`
 	P95NsPerOp float64 `json:"p95_ns_per_op"`
 	// ColdStartNs is the first exchange on the cold stack — dial + hello +
-	// (for the service plane) attestation — reported separately so it is
-	// never charged to a measured op.
+	// attestation — reported separately so it is never charged to a
+	// measured op.
 	ColdStartNs float64 `json:"cold_start_ns,omitempty"`
 	// WarmupOps is how many unmeasured ops preceded measurement.
 	WarmupOps int `json:"warmup_ops"`
@@ -169,15 +165,6 @@ func RunNetBench(opts NetBenchOptions) (*NetBenchResult, error) {
 	coalesce.Name = "tcp+coalesce"
 	res.Variants = append(res.Variants, coalesce)
 	res.TCPConcurrentOpsPerSec = coalesce.OpsPerSec
-
-	// Variant 4: the attested service plane with opportunistic query
-	// batching — many queries per securechan record.
-	batch, err := measureQueryBatch(opts, query)
-	if err != nil {
-		return nil, fmt.Errorf("tcp+coalesce+query-batch phase: %w", err)
-	}
-	batch.Name = "tcp+coalesce+query-batch"
-	res.Variants = append(res.Variants, batch)
 
 	return res, nil
 }
@@ -443,117 +430,6 @@ func measureConcurrent(opts NetBenchOptions, query string, noCoalesce bool) (Net
 	}
 	elapsed := time.Since(start)
 	after := stack().tcp.WriteStats()
-
-	totalOps := perClient * opts.Concurrency
-	all := make([]float64, 0, totalOps)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	nsPerOp := float64(elapsed.Nanoseconds()) / float64(totalOps)
-	v := NetBenchVariant{
-		Concurrency: opts.Concurrency,
-		NsPerOp:     nsPerOp,
-		OpsPerSec:   float64(totalOps) / elapsed.Seconds(),
-		P50NsPerOp:  stats.Percentile(all, 50),
-		P95NsPerOp:  stats.Percentile(all, 95),
-		ColdStartNs: coldNs,
-		WarmupOps:   warmPer * opts.Concurrency,
-	}
-	if df := after.Flushes - before.Flushes; df > 0 {
-		v.FramesPerFlush = float64(after.Frames-before.Frames) / float64(df)
-	}
-	return v, nil
-}
-
-// measureQueryBatch times opts.Concurrency callers issuing queries over one
-// batching service client against a relay daemon's attested query plane —
-// many queries per securechan record, the service-layer analogue of frame
-// coalescing.
-func measureQueryBatch(opts NetBenchOptions, query string) (NetBenchVariant, error) {
-	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	relayPlat := enclave.NewDeterministicPlatform("bench-relay", []byte("netbench"), ias)
-	hsRelay, err := securechan.NewHandshaker(relayPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		return NetBenchVariant{}, err
-	}
-	srv := nettrans.NewServer(nettrans.ServerConfig{
-		ID:      "bench-service",
-		Service: &nettrans.RelayService{Handshaker: hsRelay, Backend: core.NullBackend{}, Source: "bench-service"},
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return NetBenchVariant{}, err
-	}
-	defer srv.Close()
-
-	clientPlat := enclave.NewDeterministicPlatform("bench-client", []byte("netbench"), ias)
-	hsClient, err := securechan.NewHandshaker(clientPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		return NetBenchVariant{}, err
-	}
-
-	coldStart := time.Now()
-	c, err := nettrans.DialService(srv.Addr().String(), hsClient, nettrans.ClientConfig{
-		QueryBatching:  true,
-		RequestTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		return NetBenchVariant{}, err
-	}
-	defer c.Close()
-	if _, err := c.Query(query); err != nil {
-		return NetBenchVariant{}, fmt.Errorf("cold start: %w", err)
-	}
-	coldNs := float64(time.Since(coldStart).Nanoseconds())
-
-	perClient := opts.Iterations / opts.Concurrency
-	if perClient == 0 {
-		perClient = 1
-	}
-	warmPer := opts.Warmup/opts.Concurrency + 1
-	lats := make([][]float64, opts.Concurrency)
-	for i := range lats {
-		lats[i] = make([]float64, 0, perClient)
-	}
-	run := func(measured bool) error {
-		n := warmPer
-		if measured {
-			n = perClient
-		}
-		var wg sync.WaitGroup
-		errCh := make(chan error, opts.Concurrency)
-		for w := 0; w < opts.Concurrency; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				last := time.Now()
-				for i := 0; i < n; i++ {
-					if _, err := c.Query(query); err != nil {
-						errCh <- fmt.Errorf("caller %d iteration %d: %w", w, i, err)
-						return
-					}
-					if measured {
-						end := time.Now()
-						lats[w] = append(lats[w], float64(end.Sub(last).Nanoseconds()))
-						last = end
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errCh)
-		return <-errCh
-	}
-	if err := run(false); err != nil {
-		return NetBenchVariant{}, fmt.Errorf("warmup: %w", err)
-	}
-	before := c.WriteStats()
-	start := time.Now()
-	if err := run(true); err != nil {
-		return NetBenchVariant{}, err
-	}
-	elapsed := time.Since(start)
-	after := c.WriteStats()
 
 	totalOps := perClient * opts.Concurrency
 	all := make([]float64, 0, totalOps)

@@ -9,12 +9,7 @@ import (
 	"time"
 
 	"cyclosa/internal/accounting"
-	"cyclosa/internal/core"
-	"cyclosa/internal/enclave"
-	"cyclosa/internal/queries"
 	"cyclosa/internal/rps"
-	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
 )
 
 // admissionClock is a hand-cranked clock so token refill is deterministic
@@ -37,65 +32,54 @@ func (c *admissionClock) Advance(d time.Duration) {
 }
 
 // startThrottledDaemon is startTestDaemon with an admission limiter on a
-// fake clock wired into the service edge.
-func startThrottledDaemon(t *testing.T, qps float64, burst int) (*testDaemon, *accounting.Limiter, *admissionClock) {
+// fake clock checked on every data frame.
+func startThrottledDaemon(t *testing.T, env *attestEnv, qps float64, burst int) (*testDaemon, *accounting.Limiter, *admissionClock) {
 	t.Helper()
-	d := &testDaemon{ias: enclave.NewIAS(), secret: []byte("throttle-secret")}
-	d.verifier = enclave.NewVerifier(d.ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-
-	relayPlat := enclave.NewDeterministicPlatform("relay-platform", d.secret, d.ias)
-	encl := relayPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, d.verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 7})
-	engine := searchengine.New(uni, searchengine.Config{Seed: 7})
-
 	clk := &admissionClock{t: time.Unix(1_700_000_000, 0)}
 	lim, err := accounting.NewLimiter(accounting.LimiterConfig{QPS: qps, Burst: burst, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.srv = NewServer(ServerConfig{
-		ID:        "throttled-daemon",
-		Service:   &RelayService{Handshaker: hs, Backend: engine, Source: "throttled-daemon"},
-		Admission: lim,
-	})
-	if err := d.srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.srv.Close() })
-	return d, lim, clk
+	return startTestDaemon(t, env, "throttled-daemon", testEngine(), lim), lim, clk
 }
 
-// TestAdmissionThrottlesAndSessionSurvives proves the tentpole admission
-// semantics end to end: over-quota queries fail with the typed
-// ErrClientThrottled, the connection and attested session survive the shed
-// (the skipped records advanced the receive counter), and once the bucket
-// refills the same session serves queries again.
+// TestAdmissionThrottlesAndSessionSurvives proves admission on the data
+// plane end to end: over-quota searches fail with the typed
+// ErrClientThrottled, the attested pair survives the shed (the relay
+// skipped the records, so both counters stayed in step), nobody is
+// blacklisted, and once the bucket refills the same session — no new
+// handshake — serves searches again.
 func TestAdmissionThrottlesAndSessionSurvives(t *testing.T) {
-	d, lim, clk := startThrottledDaemon(t, 2, 2)
-	c := d.dial(t)
+	env := newAttestEnv("throttle-secret")
+	d, lim, clk := startThrottledDaemon(t, env, 2, 2)
+	tcp := daemonConduit(t, PoolConfig{ID: "throttled-client"}, d)
+	c := newTestClient(t, env, "throttled-client", tcp, d)
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.Query("throttle probe"); err != nil {
-			t.Fatalf("query %d within burst: %v", i, err)
+		if _, err := c.node.Search("throttle probe", time.Now()); err != nil {
+			t.Fatalf("search %d within burst: %v", i, err)
 		}
 	}
+	closes := countCloses(t)
 	for i := 0; i < 3; i++ {
-		_, err := c.Query("over quota")
+		_, err := c.node.Search("over quota", time.Now())
 		if !errors.Is(err, accounting.ErrClientThrottled) {
-			t.Fatalf("over-quota query %d: err = %v, want ErrClientThrottled", i, err)
+			t.Fatalf("over-quota search %d: err = %v, want ErrClientThrottled", i, err)
 		}
+	}
+	if st := c.node.Stats(); st.Blacklisted != 0 || st.Misbehaved != 0 {
+		t.Fatalf("throttling charged the relay: %+v", st)
 	}
 
 	// One second at 2 qps refills two tokens; the same session — whose
 	// receive counter the shed records advanced via Skip — must now decrypt
 	// and answer normally.
 	clk.Advance(time.Second)
-	if _, err := c.Query("after refill"); err != nil {
-		t.Fatalf("query after refill on same session: %v", err)
+	if _, err := c.node.Search("after refill", time.Now()); err != nil {
+		t.Fatalf("search after refill on same session: %v", err)
+	}
+	if n := closes.Load(); n != 0 {
+		t.Fatalf("%d session halves closed: the throttle broke the pair", n)
 	}
 
 	st := lim.Stats()
@@ -104,33 +88,25 @@ func TestAdmissionThrottlesAndSessionSurvives(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsBatchedQueries drives the query-batch path: batches
-// decrypt first (stream IDs ride inside the record), then the over-quota
-// suffix is refused per stream with the typed error.
-func TestAdmissionShedsBatchedQueries(t *testing.T) {
-	d, lim, _ := startThrottledDaemon(t, 1, 3)
-
-	plat := enclave.NewDeterministicPlatform("batch-client-platform", d.secret, d.ias)
-	encl := plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, d.verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DialService(d.srv.Addr().String(), hs, ClientConfig{ID: "batch-client", QueryBatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+// TestAdmissionShedsConcurrentForwards: admission is keyed by the
+// connection's hello identity, so eight client nodes forwarding at once
+// over one shared pool draw on one bucket — the burst is admitted, the
+// rest is shed with the typed error, and the limiter agrees.
+func TestAdmissionShedsConcurrentForwards(t *testing.T) {
+	env := newAttestEnv("shed-secret")
+	d, lim, _ := startThrottledDaemon(t, env, 1, 3)
+	tcp := daemonConduit(t, PoolConfig{ID: "shared-client"}, d)
 
 	const total = 8
 	var wg sync.WaitGroup
 	var admitted, throttled int
 	var mu sync.Mutex
 	for i := 0; i < total; i++ {
+		c := newTestClient(t, env, fmt.Sprintf("client-%d", i), tcp, d)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := c.Query(fmt.Sprintf("batched %d", i))
+			err := c.forward(d.id, fmt.Sprintf("concurrent %d", i))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -139,7 +115,7 @@ func TestAdmissionShedsBatchedQueries(t *testing.T) {
 			case errors.Is(err, accounting.ErrClientThrottled):
 				throttled++
 			default:
-				t.Errorf("query %d: unexpected error %v", i, err)
+				t.Errorf("forward %d: unexpected error %v", i, err)
 			}
 		}(i)
 	}

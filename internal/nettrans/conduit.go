@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"cyclosa/internal/accounting"
 	"cyclosa/internal/core"
 	"cyclosa/internal/transport"
 )
@@ -23,8 +24,10 @@ type ConduitConfig struct {
 
 // TCPConduit delivers forward records over real TCP connections: it
 // implements transport.Conduit, so a core.Network configured with it runs
-// the unchanged protocol over sockets. Many in-flight exchanges to the same
-// peer multiplex over one pooled connection via frame stream IDs.
+// the unchanged protocol over sockets, and transport.Pairer, so the same
+// network attests relays in other processes over attest frames. Many
+// in-flight exchanges to the same peer multiplex over one pooled connection
+// via frame stream IDs.
 //
 // Ownership contract (see transport.Conduit): the request record is copied
 // to the socket during Deliver and never retained; the response record is
@@ -46,7 +49,10 @@ type pairKey struct{ from, to string }
 // buffer needs no lock of its own.
 type pairBuf struct{ buf []byte }
 
-var _ transport.Conduit = (*TCPConduit)(nil)
+var (
+	_ transport.Conduit = (*TCPConduit)(nil)
+	_ transport.Pairer  = (*TCPConduit)(nil)
+)
 
 // NewTCPConduit builds a conduit over the given resolver.
 func NewTCPConduit(cfg ConduitConfig) *TCPConduit {
@@ -76,8 +82,11 @@ func (t *TCPConduit) WriteStats() WriteStatsSnapshot { return t.pool.WriteStats(
 // failure, backoff window, saturated pipe, timeout, connection cut — are
 // reported as core.ErrRelayUnavailable so the retry layer blacklists the
 // peer exactly as it would an unresponsive simulated one; a served err
-// frame with a non-unavailable code surfaces as a plain error, which the
-// protocol classifies as relay misbehavior.
+// frame with the throttled code surfaces as accounting.ErrClientThrottled
+// (the relay skipped the record: the pair stays in step), one with the
+// no-session code as core.ErrNoSession (the client re-pairs); any other
+// served err frame surfaces as a plain error, which the protocol classifies
+// as relay misbehavior.
 func (t *TCPConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
 	addr, ok := t.resolve(to)
 	if !ok {
@@ -106,12 +115,71 @@ func (t *TCPConduit) Deliver(from, to string, payload []byte, now time.Time) ([]
 		if err != nil {
 			return nil, 0, fmt.Errorf("nettrans: bad err frame from %s: %w", to, err)
 		}
-		if code == errCodeUnavailable {
+		switch code {
+		case errCodeUnavailable:
 			return nil, 0, fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrRelayUnavailable, to, msg)
+		case errCodeThrottled:
+			return nil, 0, fmt.Errorf("%w: nettrans: relay %s: %s", accounting.ErrClientThrottled, to, msg)
+		case errCodeNoSession:
+			return nil, 0, fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrNoSession, to, msg)
 		}
 		return nil, 0, fmt.Errorf("nettrans: relay %s rejected exchange: %s", to, msg)
 	default:
 		return nil, 0, fmt.Errorf("nettrans: unexpected frame type %d from %s", h.typ, to)
+	}
+}
+
+// Pair implements transport.Pairer: one attest frame carrying
+// from | to | offer to the relay's server, its answer back. Transport
+// failures are core.ErrRelayUnavailable, as for Deliver; a pairing the
+// relay will not hold on this connection is core.ErrNoSession; a refused
+// offer (the relay failed to verify it, or does not serve to) is
+// ErrAttestRejected.
+func (t *TCPConduit) Pair(from, to string, offer []byte) ([]byte, error) {
+	addr, ok := t.resolve(to)
+	if !ok {
+		return nil, fmt.Errorf("%w: nettrans: no address for relay %s", core.ErrRelayUnavailable, to)
+	}
+	return t.pairAt(addr, from, to, offer)
+}
+
+// At returns a Pairer that pairs with the server at addr, bypassing the
+// resolver: the attestation directory verifies peers before they resolve.
+func (t *TCPConduit) At(addr string) transport.Pairer { return addrPairer{t, addr} }
+
+type addrPairer struct {
+	t    *TCPConduit
+	addr string
+}
+
+func (p addrPairer) Pair(from, to string, offer []byte) ([]byte, error) {
+	return p.t.pairAt(p.addr, from, to, offer)
+}
+
+func (t *TCPConduit) pairAt(addr, from, to string, offer []byte) ([]byte, error) {
+	payload := appendAttestPayload(nil, from, to, offer)
+	h, buf, err := t.pool.RoundTrip(addr, frameAttest, payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", core.ErrRelayUnavailable, err)
+	}
+	defer putFrame(buf)
+	switch h.typ {
+	case frameAttest:
+		return append([]byte(nil), *buf...), nil
+	case frameErr:
+		code, msg, err := decodeErrPayload(*buf)
+		if err != nil {
+			return nil, fmt.Errorf("%w: bad err frame from %s: %v", ErrAttestRejected, to, err)
+		}
+		switch code {
+		case errCodeUnavailable:
+			return nil, fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrRelayUnavailable, to, msg)
+		case errCodeNoSession:
+			return nil, fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrNoSession, to, msg)
+		}
+		return nil, fmt.Errorf("%w: relay %s: %s", ErrAttestRejected, to, msg)
+	default:
+		return nil, fmt.Errorf("%w: unexpected frame type %d from %s", ErrAttestRejected, h.typ, to)
 	}
 }
 

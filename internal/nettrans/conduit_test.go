@@ -282,6 +282,22 @@ func TestTCPConduitErrorClassification(t *testing.T) {
 		}
 	})
 
+	t.Run("pairing with a plain conduit is rejected", func(t *testing.T) {
+		srv := NewServer(ServerConfig{Handler: echoConduit{}})
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tcp := NewTCPConduit(ConduitConfig{Resolve: StaticResolver(map[string]string{"b": srv.Addr().String()})})
+		defer tcp.Close()
+		if _, err := tcp.Pair("a", "b", []byte("offer")); !errors.Is(err, ErrAttestRejected) {
+			t.Fatalf("err = %v, want ErrAttestRejected", err)
+		}
+		if _, err := tcp.Pair("a", "ghost", []byte("offer")); !errors.Is(err, core.ErrRelayUnavailable) {
+			t.Fatalf("unresolvable pairing err = %v, want ErrRelayUnavailable", err)
+		}
+	})
+
 	t.Run("handler rejection is not unavailable", func(t *testing.T) {
 		srv := NewServer(ServerConfig{Handler: echoConduit{fail: errors.New("bad record")}})
 		if err := srv.Start("127.0.0.1:0"); err != nil {

@@ -1,9 +1,12 @@
 // Package nettrans is the real-socket data plane of the reproduction: a
 // production-grade TCP transport that slots under the protocol through the
-// transport.Conduit seam, so core.Network, the workload engine and the
-// chaos/invariant machinery all run unchanged over real connections.
+// transport.Conduit and transport.Pairer seams, so core.Network, the
+// workload engine and the chaos/invariant machinery all run unchanged over
+// real connections, and a node attests relays in other processes over the
+// same connections. It is the one wire plane of the cyclosa-node daemons
+// and clients.
 //
-// # Frame protocol (version 1)
+// # Frame protocol (version 2)
 //
 // Every message on a connection is one frame: a fixed 16-byte header
 // followed by a length-prefixed payload.
@@ -27,22 +30,25 @@
 //	data   := nowNano(8B) from(str) to(str) record(bytes)   — conduit request
 //	resp   := injectedNano(8B) record(bytes)                — conduit response
 //	err    := code(1B) msg(str)                             — failed exchange
-//	attest := handshake offer (JSON)         — service session establishment
-//	query  := encrypted record               — service query (session AEAD)
-//	answer := encrypted record               — service answer (session AEAD)
+//	attest := from(str) to(str) offer(bytes) out, answer back — pairing
 //	goaway := (empty)                        — server draining, stop opening streams
 //	gossip := view buffer (rps wire format)  — membership exchange, both directions
 //	view   := (empty) out, JSON ViewSnapshot back           — introspection
-//	querybatch  := encrypted record          — many queries in one sealed record
-//	answerbatch := encrypted record          — many answers in one sealed record
+//	accounting := ledger state (PN counters) — misbehavior-ledger exchange
+//
+// Types 6, 7, 11 and 12 carried version 1's attested query service
+// (query, answer, querybatch, answerbatch). They are retired and reserved:
+// never reassigned, and rejected like unknown types. Err codes: 1
+// unavailable (core.ErrRelayUnavailable at the conduit), 2 rejected
+// (relay misbehavior; ErrAttestRejected on an attest frame), 3 throttled
+// (accounting.ErrClientThrottled), 4 no-session (core.ErrNoSession: the
+// relay holds no session for the pair on this connection and opened
+// nothing; the client re-pairs and blacklists nobody).
 //
 // A gossip frame's payload is an rps view buffer
 // (`ver | count | {id | addr | age}*`, see internal/rps/wire.go): the
 // initiator sends its exchange buffer, the passive side replies with its
-// own on the same stream. gossip/view and querybatch/answerbatch were
-// added after version 1 shipped as backward-additive extensions — the
-// header layout is unchanged and a peer that predates them rejects the
-// unknown type (and the connection) rather than misparsing the stream.
+// own on the same stream.
 //
 // # The write path
 //
@@ -56,7 +62,7 @@
 // do not block (loopback TCP). A lone writer still flushes immediately; a
 // flush failure is sticky and poisons every queued and future write; the
 // write deadline is disarmed when the queue goes idle. Tuning lives on
-// PoolConfig/ServerConfig/ClientConfig: NoCoalesce (one flush per frame,
+// PoolConfig/ServerConfig: NoCoalesce (one flush per frame,
 // the A/B benchmark baseline), CoalesceMaxBytes (pending-batch bound,
 // writers beyond it block) and CoalesceDelay (optional wall-clock linger,
 // default 0). WriteStats exposes flushes/frames/bytes — frames-per-flush
@@ -85,21 +91,46 @@
 // the whole chaos catalog plus invariant checkers over real sockets; see
 // simnet.ChaosOptions.Transport.
 //
-// RelayService and Client form the attested query service used by the
-// cyclosa-node daemon: an attested securechan session is established over
-// attest frames, then many concurrent queries multiplex over the single
-// session as query/answer frames. Record encryption order equals socket
-// write order (both happen under the connection write lock) and decryption
-// happens in the reader goroutine in arrival order, which is what the
-// channel's strict record sequence numbers require; concurrency lives
-// between the two, in the engine dispatch. With ClientConfig.QueryBatching
-// the client also batches at the record level: queries issued while
-// another caller's batch write is in flight share one sealed querybatch
-// record, the relay answers the entries concurrently (one stalled query
-// never starves co-batched fast ones), and answers that complete together
-// share an answerbatch record back. Connection teardown closes the
-// session half on each side, so a dropped TCP connection never leaks nonce
-// state into a reconnect: the next connection re-attests from scratch.
+// # Pairing and admission
+//
+// TCPConduit also implements transport.Pairer: Pair sends one attest frame
+// (from | to | offer) and returns the relay's answer, so a core.Network
+// built over the conduit attests relays in other processes with the same
+// handshake it runs in process. The server hands attest frames to its
+// Handler when the Handler is a Pairer (core.Network.Direct is), on a
+// dispatch slot like a data exchange. A relay answers only for its own
+// node ID, so a pairing addressed to an identity the endpoint does not
+// serve fails — which binds a gossiped identity to its address. Both
+// offers commit to the pair's two identities (in the quote's report data
+// and the key transcript), so an offer cannot be replayed to another relay
+// or under another client's name. Transport failures are
+// core.ErrRelayUnavailable; a refused offer is ErrAttestRejected.
+// TCPConduit.At pairs with a fixed address, before the peer resolves: the
+// attestation directory's path.
+//
+// A relay session belongs to the connection it was paired on. When the
+// Handler opens scopes (core.Network.Direct does), the server gives each
+// connection its own core.Scope: that connection's records are served
+// only by sessions paired on it, only a pairing on it replaces them, and
+// they are closed when it ends. A peer on another connection that names a
+// client it is not gets no-session answers and cannot touch the client's
+// session; one connection holds a bounded number of sessions. A client
+// whose session is gone — the daemon restarted, or the connection closed
+// — is answered no-session, re-pairs and resends once.
+//
+// ServerConfig.Admission rate-limits data frames per client, keyed by the
+// connection's hello identity, in the read loop before dispatch. An
+// over-quota record is not opened: the Handler skips its sequence number
+// in the relay's session for the sender (securechan.Session.Skip through
+// core.Network.Direct), so the strict counter-nonce session stays in step,
+// and the client gets a throttled err frame. The skip reaches only a
+// session paired on the same connection, so a record's unauthenticated
+// sequence prefix can advance no one else's counter.
+//
+// Every served data frame leaves one "serve" trace and its timings in the
+// cyclosa_nettrans_serve_* families: deliver (the relay's forward ecall)
+// and write. The relay sees only sealed records, so real and fake forwards
+// leave records of the same shape.
 //
 // # Membership: the gossip control plane
 //

@@ -11,7 +11,9 @@ import (
 
 // ProtoVersion is the frame protocol version; bump on any layout change.
 // A connection speaking an unknown version is rejected at the first frame.
-const ProtoVersion = 1
+// In version 2 the attest frame carries from | to | offer and types 6, 7,
+// 11 and 12 are reserved.
+const ProtoVersion = 2
 
 // Frame header layout: magic(2B) ver(1B) type(1B) streamID(8B) length(4B).
 const (
@@ -23,14 +25,18 @@ const (
 // frameType tags a frame's payload semantics.
 type frameType uint8
 
+// Types 6, 7, 11 and 12 (the query, answer, querybatch and answerbatch
+// frames of version 1's attested query service) are retired and reserved:
+// they are never reassigned, and parseHeader rejects them like any unknown
+// type.
 const (
-	frameHello  frameType = 1
-	frameData   frameType = 2
-	frameResp   frameType = 3
-	frameErr    frameType = 4
+	frameHello frameType = 1
+	frameData  frameType = 2
+	frameResp  frameType = 3
+	frameErr   frameType = 4
+	// frameAttest carries one pairing exchange: from | to | offer out, the
+	// relay's answer (its own handshake offer) back on the same stream.
 	frameAttest frameType = 5
-	frameQuery  frameType = 6
-	frameAnswer frameType = 7
 	frameGoaway frameType = 8
 	// frameGossip carries one membership view-exchange buffer (rps view wire
 	// format) in each direction: the initiator's buffer out, the passive
@@ -42,16 +48,6 @@ const (
 	// frameView is the membership introspection exchange: empty request out,
 	// JSON ViewSnapshot back on the same stream.
 	frameView frameType = 10
-	// frameQueryBatch carries one sealed record holding several client
-	// queries (count + {stream, query} entries), amortizing AES-GCM and
-	// socket writes across concurrent callers. frameAnswerBatch is its
-	// response shape: one sealed record of {stream, errMsg, results}
-	// entries. Both ride stream 0 — the routing stream IDs live inside the
-	// authenticated record, not the cleartext header. Added in PR 6,
-	// backward-additive like frameGossip: an older peer rejects the type
-	// (and the connection) rather than misparsing it.
-	frameQueryBatch  frameType = 11
-	frameAnswerBatch frameType = 12
 	// frameAccounting carries one misbehavior-ledger exchange (the
 	// internal/accounting PN-counter wire format) in each direction: the
 	// initiator's full ledger state out, the passive side's back on the same
@@ -65,12 +61,17 @@ const (
 	frameTypeMax = frameAccounting
 )
 
+// reservedFrameType reports the retired type numbers, never reassigned.
+func reservedFrameType(typ frameType) bool {
+	return typ == 6 || typ == 7 || typ == 11 || typ == 12
+}
+
 // maxGossipLen bounds a gossip or view frame payload: a view buffer is
 // ViewSize/2 small descriptors, and a snapshot a few hundred bytes per peer.
 const maxGossipLen = 256 << 10
 
-// maxRecordLen bounds the encrypted record carried inside a data/resp/query/
-// answer frame — the securechan record bound.
+// maxRecordLen bounds the encrypted record carried inside a data or resp
+// frame — the securechan record bound.
 const maxRecordLen = 1 << 20
 
 // DefaultMaxFrame is the default frame payload limit: the 1 MiB encrypted
@@ -83,7 +84,7 @@ const maxNodeIDLen = 1 << 10
 // maxErrMsgLen bounds an error message inside an err frame.
 const maxErrMsgLen = 4 << 10
 
-// maxHandshakeLen bounds an attestation handshake message.
+// maxHandshakeLen bounds a handshake offer inside an attest frame.
 const maxHandshakeLen = 64 << 10
 
 // Frame protocol errors.
@@ -121,7 +122,7 @@ func parseHeader(src *[headerSize]byte, maxFrame int) (header, error) {
 		return header{}, fmt.Errorf("%w: %d", ErrFrameVersion, src[2])
 	}
 	typ := frameType(src[3])
-	if typ == 0 || typ > frameTypeMax {
+	if typ == 0 || typ > frameTypeMax || reservedFrameType(typ) {
 		return header{}, fmt.Errorf("%w: %d", ErrFrameType, src[3])
 	}
 	h := header{
@@ -241,14 +242,17 @@ func decodeRespPayload(data []byte) (injectedNano int64, record []byte, err erro
 
 // Err frame failure codes. Unavailable maps to core.ErrRelayUnavailable at
 // the conduit boundary (retry with a replacement relay, timeout charged);
-// throttled maps to accounting.ErrClientThrottled at the service client
-// (the caller is over its per-client rate — back off, don't redial);
-// everything else is classified as relay misbehavior (blacklist, no
-// timeout).
+// throttled maps to accounting.ErrClientThrottled (the client is over its
+// per-client rate: the pair survives, the forward moves to another relay);
+// no-session maps to core.ErrNoSession (the relay holds no session for the
+// pair on this connection and opened nothing: the client re-pairs, nobody
+// is blacklisted); everything else is classified as relay misbehavior
+// (blacklist, no timeout), and on an attest frame as ErrAttestRejected.
 const (
 	errCodeUnavailable = 1
 	errCodeRejected    = 2
 	errCodeThrottled   = 3
+	errCodeNoSession   = 4
 )
 
 // appendErrPayload encodes an err frame payload: code(1B) msg(str).
@@ -274,4 +278,33 @@ func decodeErrPayload(data []byte) (code byte, msg []byte, err error) {
 		return 0, nil, errors.New("nettrans: trailing bytes after err frame")
 	}
 	return code, msg, nil
+}
+
+// appendAttestPayload encodes an attest request: from(str) to(str)
+// offer(bytes).
+func appendAttestPayload(dst []byte, from, to string, offer []byte) []byte {
+	dst = wire.AppendString(dst, from)
+	dst = wire.AppendString(dst, to)
+	return wire.AppendBytes(dst, offer)
+}
+
+// decodeAttestPayload decodes an attest request. from, to and offer alias
+// data.
+func decodeAttestPayload(data []byte) (from, to, offer []byte, err error) {
+	from, data, err = wire.ConsumeBytes(data, maxNodeIDLen)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	to, data, err = wire.ConsumeBytes(data, maxNodeIDLen)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	offer, data, err = wire.ConsumeBytes(data, maxHandshakeLen)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(data) != 0 {
+		return nil, nil, nil, errors.New("nettrans: trailing bytes after attest frame")
+	}
+	return from, to, offer, nil
 }

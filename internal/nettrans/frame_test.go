@@ -55,6 +55,15 @@ func TestFrameHeaderRejectsHostileInput(t *testing.T) {
 			t.Fatalf("zero type err = %v, want ErrFrameType", err)
 		}
 	})
+	t.Run("retired type", func(t *testing.T) {
+		for _, typ := range []byte{6, 7, 11, 12} {
+			hdr := valid()
+			hdr[3] = typ
+			if _, err := parseHeader(&hdr, DefaultMaxFrame); !errors.Is(err, ErrFrameType) {
+				t.Fatalf("retired type %d: err = %v, want ErrFrameType", typ, err)
+			}
+		}
+	})
 	t.Run("oversized length", func(t *testing.T) {
 		hdr := valid()
 		binary.BigEndian.PutUint32(hdr[12:16], uint32(DefaultMaxFrame+1))
@@ -89,6 +98,12 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		t.Fatalf("resp round trip: inj=%d rec=%q err=%v", inj, rec, err)
 	}
 
+	ap := appendAttestPayload(nil, "client-1", "relay-2", []byte("offer"))
+	afrom, ato, offer, err := decodeAttestPayload(ap)
+	if err != nil || string(afrom) != "client-1" || string(ato) != "relay-2" || string(offer) != "offer" {
+		t.Fatalf("attest round trip: from=%q to=%q offer=%q err=%v", afrom, ato, offer, err)
+	}
+
 	ep := appendErrPayload(nil, errCodeUnavailable, "gone fishing")
 	code, msg, err := decodeErrPayload(ep)
 	if err != nil || code != errCodeUnavailable || string(msg) != "gone fishing" {
@@ -114,6 +129,16 @@ func TestPayloadCodecsRejectTruncation(t *testing.T) {
 		if _, _, err := decodeRespPayload(resp[:n]); err == nil {
 			t.Fatalf("truncated resp frame (%d/%d bytes) accepted", n, len(resp))
 		}
+	}
+
+	attest := appendAttestPayload(nil, "client-1", "relay-2", []byte("offer"))
+	for n := 0; n < len(attest); n++ {
+		if _, _, _, err := decodeAttestPayload(attest[:n]); err == nil {
+			t.Fatalf("truncated attest frame (%d/%d bytes) accepted", n, len(attest))
+		}
+	}
+	if _, _, _, err := decodeAttestPayload(append(attest, 0xFF)); err == nil {
+		t.Fatal("attest frame with trailing garbage accepted")
 	}
 
 	for n := 0; n < 2; n++ {

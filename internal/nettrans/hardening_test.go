@@ -8,9 +8,7 @@ import (
 
 	"cyclosa/internal/backend"
 	"cyclosa/internal/core"
-	"cyclosa/internal/enclave"
 	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
 )
 
 func TestHelloPayloadRejectsHostileInput(t *testing.T) {
@@ -53,154 +51,103 @@ func (b flakyBackend) Search(_, query string, _ time.Time) ([]searchengine.Resul
 	return []searchengine.Result{{Title: "t", URL: "https://x"}}, nil
 }
 
-// startFlakyDaemon serves the attested service over the flaky backend.
-func startFlakyDaemon(t *testing.T, stall time.Duration) (*Server, *securechan.Handshaker) {
+// startFlakyDaemon serves a relay daemon over the flaky backend and
+// returns a client node paired through pc's pool.
+func startFlakyDaemon(t *testing.T, be core.Backend, pc PoolConfig) (*testDaemon, testClient) {
 	t.Helper()
-	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	plat := enclave.NewDeterministicPlatform("flaky-relay", []byte("flaky"), ias)
-	hsRelay, err := securechan.NewHandshaker(plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(ServerConfig{
-		ID:      "flaky-daemon",
-		Service: &RelayService{Handshaker: hsRelay, Backend: flakyBackend{stall: stall}, Source: "flaky-daemon"},
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	clientPlat := enclave.NewDeterministicPlatform("flaky-client", []byte("flaky"), ias)
-	hsClient, err := securechan.NewHandshaker(clientPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, hsClient
+	env := newAttestEnv("flaky")
+	d := startTestDaemon(t, env, "flaky-daemon", be, nil)
+	pc.ID = "flaky-client"
+	return d, newTestClient(t, env, "flaky-client", daemonConduit(t, pc, d), d)
 }
 
 // TestServiceEngineRefusalSurfacesCleanly: a backend refusal travels back
-// as ErrEngineRefused — the transport worked, the engine said no — and the
-// session keeps serving.
+// as the search's EngineError — the transport worked, the engine said no —
+// and the pair keeps serving without a new handshake.
 func TestServiceEngineRefusalSurfacesCleanly(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 0)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{})
-	if err != nil {
+	_, c := startFlakyDaemon(t, flakyBackend{}, PoolConfig{})
+	if err := c.forward("flaky-daemon", "warm the pair"); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.PeerMeasurement() == "" {
-		t.Fatal("no attested measurement")
-	}
+	closes := countCloses(t)
 
-	if _, err := c.Query("please refuse this"); !errors.Is(err, ErrEngineRefused) {
-		t.Fatalf("err = %v, want ErrEngineRefused", err)
+	res, err := c.node.Search("please refuse this", time.Now())
+	if err != nil || res.EngineError == nil {
+		t.Fatalf("refusal: err = %v, engine error = %v, want an engine error only", err, res.EngineError)
 	}
-	results, err := c.Query("a good query")
-	if err != nil || len(results) != 1 {
-		t.Fatalf("session did not survive the refusal: results=%v err=%v", results, err)
+	res, err = c.node.Search("a good query", time.Now())
+	if err != nil || res.EngineError != nil || len(res.Results) != 1 {
+		t.Fatalf("pair did not survive the refusal: %+v, %v", res, err)
+	}
+	if n := closes.Load(); n != 0 {
+		t.Fatalf("%d session halves closed: the refusal broke the pair", n)
+	}
+	if st := c.node.Stats(); st.Blacklisted != 0 {
+		t.Fatalf("an honest relay was blacklisted for its engine: %+v", st)
 	}
 }
 
 // TestServiceEngineClassSurvivesWire: when the daemon's backend is the
 // resilience stack, the typed failure class (here a watchdog timeout)
-// travels the attested wire inside the engineErr string and the client
-// recovers it — callers can errors.Is both ErrEngineRefused and the
-// backend taxonomy sentinel.
+// travels the sealed response inside the engine-error string and the
+// client recovers it — callers can errors.Is the backend taxonomy.
 func TestServiceEngineClassSurvivesWire(t *testing.T) {
-	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	plat := enclave.NewDeterministicPlatform("stack-relay", []byte("stack"), ias)
-	hsRelay, err := securechan.NewHandshaker(plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stack := backend.NewStack(flakyBackend{stall: 300 * time.Millisecond}, backend.Policy{
 		Timeout:    30 * time.Millisecond,
 		MaxRetries: -1, // clamped to 0: the timeout must surface, not retry
 	})
-	srv := NewServer(ServerConfig{
-		ID:      "stack-daemon",
-		Service: &RelayService{Handshaker: hsRelay, Backend: stack, Source: "stack-daemon"},
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	clientPlat := enclave.NewDeterministicPlatform("stack-client", []byte("stack"), ias)
-	hsClient, err := securechan.NewHandshaker(clientPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
+	_, c := startFlakyDaemon(t, stack, PoolConfig{})
+	res, err := c.node.Search("stall me", time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialService(srv.Addr().String(), hsClient, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	_, qerr := c.Query("stall me")
-	if !errors.Is(qerr, ErrEngineRefused) {
-		t.Fatalf("err = %v, want ErrEngineRefused", qerr)
-	}
-	if !errors.Is(qerr, backend.ErrEngineTimeout) {
-		t.Fatalf("err = %v lost the taxonomy class, want backend.ErrEngineTimeout", qerr)
+	if !errors.Is(res.EngineError, backend.ErrEngineTimeout) {
+		t.Fatalf("engine error = %v lost the taxonomy class, want backend.ErrEngineTimeout", res.EngineError)
 	}
 }
 
-// TestServiceQueryTimeout: a stalled engine times the query out without
-// poisoning the stream table.
+// TestServiceQueryTimeout: a stalled engine times the forward out as
+// unavailability without poisoning the pool's stream table; the late
+// answer is dropped and the next forward re-attests and succeeds.
 func TestServiceQueryTimeout(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 400*time.Millisecond)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{RequestTimeout: 60 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	_, c := startFlakyDaemon(t, flakyBackend{stall: 400 * time.Millisecond}, PoolConfig{RequestTimeout: 60 * time.Millisecond})
+	if err := c.forward("flaky-daemon", "stall here"); !errors.Is(err, core.ErrRelayUnavailable) || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("err = %v, want an unavailable timeout", err)
 	}
-	defer c.Close()
-
-	if _, err := c.Query("stall here"); err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	// The late answer arrives, is decrypted in order and dropped; the
-	// session then still answers fresh queries.
 	time.Sleep(500 * time.Millisecond)
-	if _, err := c.Query("a good query"); err != nil {
-		t.Fatalf("session did not survive the timeout: %v", err)
+	if err := c.forward("flaky-daemon", "a good query"); err != nil {
+		t.Fatalf("forward after the timeout: %v", err)
 	}
 }
 
 // TestServiceSessionOutlivesDialTimeout is the stale-deadline regression:
-// the dial/hello/attest phase arms an absolute read deadline, and net.Conn
-// deadlines persist until changed — a session idle past DialTimeout used to
-// die of the leftover timeout. Both ends must survive an idle gap longer
-// than every handshake deadline.
+// the dial/hello phase arms an absolute read deadline, and net.Conn
+// deadlines persist until changed — a connection idle past DialTimeout
+// must not die of the leftover timeout, and the pair must keep its
+// session across the gap.
 func TestServiceSessionOutlivesDialTimeout(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 0)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{DialTimeout: 300 * time.Millisecond})
-	if err != nil {
+	_, c := startFlakyDaemon(t, flakyBackend{}, PoolConfig{DialTimeout: 300 * time.Millisecond})
+	if err := c.forward("flaky-daemon", "before the idle gap"); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Query("before the idle gap"); err != nil {
-		t.Fatal(err)
-	}
+	closes := countCloses(t)
 	time.Sleep(900 * time.Millisecond) // well past DialTimeout
-	if _, err := c.Query("after the idle gap"); err != nil {
-		t.Fatalf("session died of a stale dial deadline: %v", err)
+	if err := c.forward("flaky-daemon", "after the idle gap"); err != nil {
+		t.Fatalf("forward died of a stale dial deadline: %v", err)
+	}
+	if n := closes.Load(); n != 0 {
+		t.Fatalf("%d session halves closed across the idle gap", n)
 	}
 }
 
-// TestServiceOversizeQueryRejectedClientSide: the bound is enforced before
-// anything is encrypted or sent.
+// TestServiceOversizeQueryRejectedClientSide: the query bound is enforced
+// before anything is encrypted or sent.
 func TestServiceOversizeQueryRejectedClientSide(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 0)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
+	d, c := startFlakyDaemon(t, flakyBackend{}, PoolConfig{})
+	if err := c.forward(d.id, strings.Repeat("q", 64<<10)); !errors.Is(err, core.ErrWireOversize) {
+		t.Fatalf("err = %v, want ErrWireOversize", err)
 	}
-	defer c.Close()
-	if _, err := c.Query(strings.Repeat("q", maxServiceQueryLen+1)); err == nil {
-		t.Fatal("oversize query accepted")
+	if n := d.net.Node(d.id).Stats().Relayed; n != 0 {
+		t.Fatalf("relay received %d records for an oversize query that should never have left the client", n)
 	}
 }

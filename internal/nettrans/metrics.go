@@ -11,13 +11,15 @@ import (
 // Serve outcome names, pre-interned for zero-alloc trace records.
 const (
 	serveOutcomeOK          = "ok"
-	serveOutcomeEngineError = "engine_error"
+	serveOutcomeRejected    = "rejected"
+	serveOutcomeUnavailable = "unavailable"
+	serveOutcomeNoSession   = "no_session"
 )
 
 var (
 	mDials = telemetry.Default().CounterVec(
 		"cyclosa_nettrans_dials_total",
-		"Outbound connection attempts (pool and client) by result.",
+		"Outbound connection attempts by result.",
 		"result")
 	mDialOK    = mDials.With("ok")
 	mDialError = mDials.With("error")
@@ -47,27 +49,28 @@ var (
 
 	mStreamsInFlight = telemetry.Default().Gauge(
 		"cyclosa_nettrans_streams_in_flight",
-		"Request streams awaiting a response across all clients and pools.")
+		"Request streams awaiting a response across all pools.")
 
 	mThrottledRecords = telemetry.Default().Counter(
 		"cyclosa_nettrans_throttled_records_total",
-		"Query records refused with a throttled error frame by per-client admission.")
+		"Data records refused with a throttled error frame by per-client admission.")
 	mSkippedRecords = telemetry.Default().Counter(
 		"cyclosa_nettrans_skipped_records_total",
 		"Over-quota records whose sequence number was consumed without decryption to keep the channel in sync.")
 
 	mServeStage = telemetry.Default().HistogramVec(
 		"cyclosa_nettrans_serve_stage_seconds",
-		"Relay-side serve stages: decrypt (open query record), engine (backend call), seal (encrypt+queue answer).",
+		"Relay-side serve stages of one data frame: deliver (the relay's forward ecall: decrypt, record, engine, seal), write (queue the resp or err frame).",
 		"stage", telemetry.DefaultLatencyBuckets)
-	mServeDecrypt = mServeStage.With("decrypt")
-	mServeEngine  = mServeStage.With("engine")
-	mServeSeal    = mServeStage.With("seal")
+	mServeDeliver = mServeStage.With("deliver")
+	mServeWrite   = mServeStage.With("write")
 
 	mServeQueries = telemetry.Default().CounterVec(
 		"cyclosa_nettrans_serve_queries_total",
-		"Queries answered by the relay service, by result.",
+		"Data frames served by the relay, by result: ok, rejected, unavailable, no_session.",
 		"result")
 	mServeOK          = mServeQueries.With(serveOutcomeOK)
-	mServeEngineError = mServeQueries.With(serveOutcomeEngineError)
+	mServeRejected    = mServeQueries.With(serveOutcomeRejected)
+	mServeUnavailable = mServeQueries.With(serveOutcomeUnavailable)
+	mServeNoSession   = mServeQueries.With(serveOutcomeNoSession)
 )

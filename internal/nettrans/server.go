@@ -9,6 +9,7 @@ import (
 
 	"cyclosa/internal/accounting"
 	"cyclosa/internal/core"
+	"cyclosa/internal/telemetry"
 	"cyclosa/internal/transport"
 )
 
@@ -18,23 +19,25 @@ type ServerConfig struct {
 	// listen address).
 	ID string
 	// Handler serves the conduit data plane: every data frame becomes one
-	// Deliver call. nil rejects data frames (service-only server).
+	// Deliver call, and — when Handler also implements transport.Pairer, as
+	// core.Network.Direct does — every attest frame one Pair call. nil
+	// rejects both (gossip-only server). When Handler can open connection
+	// scopes (core.Network.Direct), each connection's frames go through its
+	// own core.Scope: the sessions paired on a connection serve only that
+	// connection and are closed when it ends.
 	Handler transport.Conduit
-	// Service serves the attested query plane (attest/query frames). nil
-	// rejects them (conduit-only server).
-	Service *RelayService
 	// Membership serves the gossip control plane (gossip/view frames): the
 	// passive half of view exchanges and the introspection snapshot. nil
 	// rejects both (data-plane-only server).
 	Membership *Membership
-	// Admission, when non-nil, rate-limits the attested query plane per
-	// client (keyed by hello identity). Over-quota single queries are shed
-	// before decrypt — the record's sequence number is consumed
-	// (securechan.Session.Skip) so the strict counter-nonce session stays in
-	// sync, but no AEAD or engine work is spent — and refused with a
-	// throttled err frame. Batched queries decrypt first (their routing
-	// stream IDs live inside the sealed record), then the over-quota suffix
-	// is shed per stream.
+	// Admission, when non-nil, rate-limits data frames per client (keyed by
+	// hello identity), checked in the read loop before dispatch. An
+	// over-quota record is shed unopened — the Handler skips its sequence
+	// number in the relay's session for the sender
+	// (securechan.Session.Skip), so the strict counter-nonce session stays
+	// in sync but no AEAD or engine work is spent — and refused with a
+	// throttled err frame. It requires a Handler that can skip records
+	// (core.Network.Direct).
 	Admission *accounting.Limiter
 	// MaxFrame bounds a frame payload (default DefaultMaxFrame).
 	MaxFrame int
@@ -85,12 +88,37 @@ func (cfg *ServerConfig) applyDefaults() {
 	}
 }
 
+// recordSkipper is the admission seam of a Handler: consume the sequence
+// number of a record from from to relay to without opening it.
+type recordSkipper interface {
+	Skip(from, to string, record []byte) error
+}
+
+// connScoper is the session-ownership seam of a Handler: a scope per
+// connection (see core.Scope).
+type connScoper interface {
+	Scope() *core.Scope
+}
+
+// relayHandler is where one connection's data and attest frames go:
+// Handler and its optional halves, or the connection's scope.
+type relayHandler struct {
+	conduit transport.Conduit
+	pairer  transport.Pairer
+	skipper recordSkipper
+}
+
 // Server accepts frame-protocol connections and serves the conduit data
-// plane and/or the attested query service over them.
+// plane, pairings and the gossip control plane over them.
 type Server struct {
 	cfg    ServerConfig
 	ln     net.Listener
 	wstats WriteStats // aggregated across all connections
+
+	// relay is Handler with its optional halves, resolved once; scoper is
+	// set when Handler opens a scope per connection instead.
+	relay  relayHandler
+	scoper connScoper
 
 	sem      chan struct{}
 	inflight sync.WaitGroup
@@ -113,10 +141,12 @@ type Server struct {
 // before exiting.
 const workerLinger = 500 * time.Millisecond
 
-// NewServer builds a server; call Start (or Listen + Serve) to run it.
+// NewServer builds a server; call Start (or Listen + Serve) to run it. It
+// panics when Admission is set but Handler cannot skip records: shedding a
+// record without skipping it would desynchronize the client's session.
 func NewServer(cfg ServerConfig) *Server {
 	cfg.applyDefaults()
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		workCh:      make(chan func()),
@@ -124,6 +154,14 @@ func NewServer(cfg ServerConfig) *Server {
 		conns:       make(map[*frameConn]struct{}),
 		loopDone:    make(chan struct{}),
 	}
+	s.relay.conduit = cfg.Handler
+	s.relay.pairer, _ = cfg.Handler.(transport.Pairer)
+	s.relay.skipper, _ = cfg.Handler.(recordSkipper)
+	s.scoper, _ = cfg.Handler.(connScoper)
+	if cfg.Admission != nil && s.relay.skipper == nil {
+		panic("nettrans: ServerConfig.Admission needs a Handler that can skip records")
+	}
+	return s
 }
 
 // WriteStats snapshots the server's aggregated write-path counters.
@@ -296,16 +334,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		fc.Close()
 		return
 	}
-	var svc *serviceConn
 	defer func() {
 		s.unregister(fc)
 		fc.Close()
-		if svc != nil {
-			// A dropped connection must not leak session state: closing the
-			// responder half here (the dialer closes its own) makes the next
-			// connection re-attest with fresh nonce counters.
-			svc.close()
-		}
 	}()
 
 	peer, err := fc.expectHello(s.cfg.HelloTimeout)
@@ -317,6 +348,15 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 	s.cfg.Logf("nettrans: %s: connected (peer %q)", nc.RemoteAddr(), peer)
+	relay := s.relay
+	if s.scoper != nil {
+		// Deferred after the connection's own teardown is registered, so it
+		// runs first: exchanges still in flight on a dead connection find
+		// their sessions gone and pairings refused.
+		scope := s.scoper.Scope()
+		defer scope.Close()
+		relay = relayHandler{conduit: scope, pairer: scope, skipper: scope}
+	}
 
 	for {
 		h, buf, err := fc.readFrame(s.cfg.IdleTimeout)
@@ -335,7 +375,18 @@ func (s *Server) serveConn(nc net.Conn) {
 				}
 				continue
 			}
-			if !s.dispatch(func() { s.handleData(fc, h, buf) }) {
+			// Admission precedes dispatch and decrypt: an over-quota record
+			// costs no AEAD or engine work, only a sequence-number skip that
+			// keeps the relay's session with the sender in step.
+			if s.cfg.Admission != nil && s.cfg.Admission.Allow(peer) != nil {
+				code, msg := shed(relay.skipper, *buf)
+				putFrame(buf)
+				if fc.writeErrFrame(h.stream, code, msg) != nil {
+					return
+				}
+				continue
+			}
+			if !s.dispatch(func() { s.handleData(fc, relay.conduit, h, buf) }) {
 				// Draining: refuse the new exchange but keep the connection
 				// open — answers already dispatched on it must still flush;
 				// Close cuts the socket once the drain completes.
@@ -346,106 +397,19 @@ func (s *Server) serveConn(nc net.Conn) {
 				continue
 			}
 		case frameAttest:
-			if s.cfg.Service == nil {
+			if relay.pairer == nil {
 				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "no attested service") != nil {
+				if fc.writeErrFrame(h.stream, errCodeRejected, "no pairing handler") != nil {
 					return
 				}
 				continue
 			}
-			if svc == nil {
-				svc = s.cfg.Service.newConn(fc, peer)
-			}
-			err := svc.handleAttest(h, *buf)
-			putFrame(buf)
-			if err != nil {
-				s.cfg.Logf("nettrans: %s: attest: %v", nc.RemoteAddr(), err)
-				return
-			}
-		case frameQuery:
-			if svc == nil || !svc.attested() {
+			// Pairing is a few signatures and a key exchange: a dispatch
+			// slot, like a data exchange, keeps it off the read loop.
+			if !s.dispatch(func() { s.handleAttest(fc, relay.pairer, h, buf) }) {
 				putFrame(buf)
-				s.cfg.Logf("nettrans: %s: query before attestation", nc.RemoteAddr())
-				return
-			}
-			// Admission precedes decrypt: an over-quota record must cost no
-			// AEAD work, only a sequence-number skip to keep the strict
-			// counter-nonce session in sync.
-			if s.cfg.Admission != nil && s.cfg.Admission.Allow(peer) != nil {
-				err := svc.skipRecord(*buf)
-				putFrame(buf)
-				if err != nil {
-					// A bad sequence prefix means the session is broken either
-					// way; cut, exactly as a failed decrypt would.
-					s.cfg.Logf("nettrans: %s: throttled query skip: %v", nc.RemoteAddr(), err)
-					return
-				}
-				mSkippedRecords.Inc()
-				mThrottledRecords.Inc()
-				if fc.writeErrFrame(h.stream, errCodeThrottled, "client over rate limit") != nil {
-					return
-				}
-				continue
-			}
-			// Decrypt in the read loop — records must be opened in arrival
-			// order — then dispatch the engine work.
-			work, err := svc.prepareQuery(h, *buf)
-			putFrame(buf)
-			if err != nil {
-				s.cfg.Logf("nettrans: %s: query: %v", nc.RemoteAddr(), err)
-				return
-			}
-			if !s.dispatch(work) {
-				// Same drain rule as data frames: refuse, don't cut.
 				if fc.writeErrFrame(h.stream, errCodeUnavailable, "server draining") != nil {
 					return
-				}
-				continue
-			}
-		case frameQueryBatch:
-			if svc == nil || !svc.attested() {
-				putFrame(buf)
-				s.cfg.Logf("nettrans: %s: query batch before attestation", nc.RemoteAddr())
-				return
-			}
-			// Same read-loop decrypt rule as single queries: records open in
-			// arrival order, then the engine work for the whole batch is one
-			// dispatch. A batch cannot be shed before decrypt — its routing
-			// stream IDs ride inside the sealed record — so admission runs
-			// just after: the first AllowN(n) entries proceed, the over-quota
-			// suffix is refused per stream.
-			streams, queries, err := svc.prepareQueryBatch(*buf)
-			putFrame(buf)
-			if err != nil {
-				s.cfg.Logf("nettrans: %s: query batch: %v", nc.RemoteAddr(), err)
-				return
-			}
-			if s.cfg.Admission != nil {
-				admitted := s.cfg.Admission.AllowN(peer, len(streams))
-				mThrottledRecords.Add(uint64(len(streams) - admitted))
-				shedOK := true
-				for _, stream := range streams[admitted:] {
-					if fc.writeErrFrame(stream, errCodeThrottled, "client over rate limit") != nil {
-						shedOK = false
-						break
-					}
-				}
-				if !shedOK {
-					return
-				}
-				streams, queries = streams[:admitted], queries[:admitted]
-				if len(streams) == 0 {
-					continue
-				}
-			}
-			work := func() { svc.answerBatch(streams, queries) }
-			if !s.dispatch(work) {
-				// Refuse each batched query on its own stream — the routing
-				// IDs live inside the record, not the frame header.
-				for _, stream := range streams {
-					if fc.writeErrFrame(stream, errCodeUnavailable, "server draining") != nil {
-						return
-					}
 				}
 				continue
 			}
@@ -539,9 +503,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		case frameGoaway, frameHello:
 			putFrame(buf) // tolerated mid-stream; nothing to do
 		default:
-			// resp/answer/err frames travel server -> client only; receiving
-			// one is a protocol violation, so the connection is cut rather
-			// than risking desynchronized framing.
+			// resp/err frames travel server -> client only; receiving one is
+			// a protocol violation, so the connection is cut rather than
+			// risking desynchronized framing.
 			putFrame(buf)
 			s.cfg.Logf("nettrans: %s: unexpected frame type %d", nc.RemoteAddr(), h.typ)
 			return
@@ -549,39 +513,120 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
+// shed refuses one over-quota data frame: the connection's handler skips
+// the record's sequence number in the relay's session for the sender — a
+// session paired on this connection, when the handler is scoped — and the
+// client gets a throttled err frame. A record with no such session is
+// answered no-session, like an unthrottled one; one that cannot be skipped
+// (bad sequence) is rejected, as a failed decrypt would be: the client
+// breaks the pair and re-attests.
+func shed(skipper recordSkipper, payload []byte) (code byte, msg string) {
+	_, from, to, record, err := decodeDataPayload(payload)
+	if err == nil {
+		err = skipper.Skip(string(from), string(to), record)
+	}
+	if errors.Is(err, core.ErrNoSession) {
+		return errCodeNoSession, err.Error()
+	}
+	if err != nil {
+		return errCodeRejected, fmt.Sprintf("throttled record not skipped: %v", err)
+	}
+	mSkippedRecords.Inc()
+	mThrottledRecords.Inc()
+	return errCodeThrottled, "client over rate limit"
+}
+
 // handleData serves one conduit exchange: decode, deliver, respond. It owns
 // buf and releases it. Any response-write failure closes the connection:
 // bufio's write errors are sticky, so a peer that stopped reading would
 // otherwise keep feeding us work whose answers all silently vanish.
-func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
+//
+// Every exchange leaves one serve trace and its serve-stage timings. The
+// relay sees only sealed records, so real and fake forwards produce
+// records of the same shape.
+func (s *Server) handleData(fc *frameConn, conduit transport.Conduit, h header, buf *[]byte) {
 	defer putFrame(buf)
-	nowNano, from, to, record, err := decodeDataPayload(*buf)
+	nowNano, fromB, to, record, err := decodeDataPayload(*buf)
 	if err != nil {
 		if fc.writeErrFrame(h.stream, errCodeRejected, fmt.Sprintf("bad data frame: %v", err)) != nil {
 			fc.Close()
 		}
 		return
 	}
-	resp, injected, err := s.cfg.Handler.Deliver(string(from), string(to), record, time.Unix(0, nowNano))
+	from := string(fromB)
+	start := time.Now()
+	resp, injected, err := conduit.Deliver(from, string(to), record, time.Unix(0, nowNano))
+	deliverNS := int64(time.Since(start))
+	mServeDeliver.Observe(time.Duration(deliverNS))
+	outcome, ctr := serveOutcomeOK, mServeOK
+	var werr error
 	if err != nil {
 		code := byte(errCodeRejected)
-		if errors.Is(err, core.ErrRelayUnavailable) {
+		outcome, ctr = serveOutcomeRejected, mServeRejected
+		switch {
+		case errors.Is(err, core.ErrRelayUnavailable):
 			code = errCodeUnavailable
+			outcome, ctr = serveOutcomeUnavailable, mServeUnavailable
+		case errors.Is(err, core.ErrNoSession):
+			code = errCodeNoSession
+			outcome, ctr = serveOutcomeNoSession, mServeNoSession
 		}
-		if fc.writeErrFrame(h.stream, code, err.Error()) != nil {
-			fc.Close()
-		}
-		return
+		werr = fc.writeErrFrame(h.stream, code, err.Error())
+	} else {
+		meta := getFrame()
+		*meta = appendRespMeta((*meta)[:0], int64(injected), len(resp))
+		// The response record is written out before this exchange returns;
+		// the conduit contract keeps it valid until the pair's next
+		// delivery, which cannot start until the requester has read this
+		// frame.
+		werr = fc.writeFrame(frameResp, h.stream, *meta, resp)
+		putFrame(meta)
 	}
-	meta := getFrame()
-	*meta = appendRespMeta((*meta)[:0], int64(injected), len(resp))
-	// The response record is written out before this exchange returns; the
-	// conduit contract keeps it valid until the pair's next delivery, which
-	// cannot start until the requester has read this frame.
-	if fc.writeFrame(frameResp, h.stream, *meta, resp) != nil {
+	totalNS := int64(time.Since(start))
+	mServeWrite.Observe(time.Duration(totalNS - deliverNS))
+	ctr.Inc()
+	telemetry.Traces().Record(telemetry.Trace{
+		Op:            "serve",
+		Peer:          from,
+		Outcome:       outcome,
+		StartUnixNano: start.UnixNano(),
+		TotalNS:       totalNS,
+		DeliverNS:     deliverNS,
+	})
+	if werr != nil {
 		fc.Close()
 	}
-	putFrame(meta)
+}
+
+// handleAttest serves one pairing: decode, Pair, answer with the relay's
+// offer. A transport-level refusal (unknown or departed relay behind a
+// shared server, draining) is answered unavailable, a pairing the scope
+// will not hold no-session; a refused offer is rejected, which the dialer
+// reports as ErrAttestRejected.
+func (s *Server) handleAttest(fc *frameConn, pairer transport.Pairer, h header, buf *[]byte) {
+	defer putFrame(buf)
+	from, to, offer, err := decodeAttestPayload(*buf)
+	var answer []byte
+	var werr error
+	if err == nil {
+		answer, err = pairer.Pair(string(from), string(to), offer)
+	}
+	if err != nil {
+		code := byte(errCodeRejected)
+		switch {
+		case errors.Is(err, core.ErrRelayUnavailable):
+			code = errCodeUnavailable
+		case errors.Is(err, core.ErrNoSession):
+			code = errCodeNoSession
+		}
+		s.cfg.Logf("nettrans: pairing %q -> %q refused: %v", from, to, err)
+		werr = fc.writeErrFrame(h.stream, code, err.Error())
+	} else {
+		werr = fc.writeFrame(frameAttest, h.stream, answer)
+	}
+	if werr != nil {
+		fc.Close()
+	}
 }
 
 // Close gracefully drains the server: stop accepting, notify peers with a

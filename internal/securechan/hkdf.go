@@ -7,12 +7,13 @@
 // counter nonces (replay of a record is rejected because the receiver's
 // counter has moved on).
 //
-// Two layerings are provided:
-//
-//   - Session — message-oriented: encrypt/decrypt individual datagrams, for
-//     the simulated network transport;
-//   - Channel — stream-oriented over a net.Conn with length-prefixed
-//     records, for the real TCP deployment.
+// A Handshaker keeps one X25519 key pair for its enclave's lifetime; every
+// Offer carries a fresh random nonce that the quote binds and the key
+// derivation mixes in, so each pairing — including a re-attestation of the
+// same two enclaves — gets its own session keys. A Session is
+// message-oriented: it seals and opens individual records, and the
+// transports (core's in-process conduit, internal/nettrans over TCP) carry
+// them.
 package securechan
 
 import (

@@ -3,7 +3,6 @@ package securechan
 import (
 	"bytes"
 	"errors"
-	"net"
 	"testing"
 
 	"cyclosa/internal/enclave"
@@ -50,6 +49,20 @@ func (e *testEnv) handshakers(t *testing.T) (*Handshaker, *Handshaker) {
 		t.Fatal(err)
 	}
 	return ha, hb
+}
+
+// offers returns a fresh offer from each of a and b.
+func offers(t *testing.T, a, b *Handshaker) (*HandshakeMsg, *HandshakeMsg) {
+	t.Helper()
+	offerA, err := a.Offer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offerB, err := b.Offer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return offerA, offerB
 }
 
 func TestEstablishPairAndRoundTrip(t *testing.T) {
@@ -160,11 +173,8 @@ func TestHandshakeRejectsUntrustedEnclave(t *testing.T) {
 		t.Fatal(err)
 	}
 	ha, _ := env.handshakers(t)
-	offer, err := hEvil.Offer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ha.Establish(offer, true); !errors.Is(err, ErrAttestation) {
+	own, offer := offers(t, ha, hEvil)
+	if _, err := ha.Establish(own, offer, nil, true); !errors.Is(err, ErrAttestation) {
 		t.Errorf("untrusted enclave err = %v", err)
 	}
 }
@@ -182,11 +192,8 @@ func TestHandshakeRejectsRoguePlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	ha, _ := env.handshakers(t)
-	offer, err := hRogue.Offer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ha.Establish(offer, true); !errors.Is(err, ErrAttestation) {
+	own, offer := offers(t, ha, hRogue)
+	if _, err := ha.Establish(own, offer, nil, true); !errors.Is(err, ErrAttestation) {
 		t.Errorf("rogue platform err = %v", err)
 	}
 }
@@ -194,26 +201,28 @@ func TestHandshakeRejectsRoguePlatform(t *testing.T) {
 func TestHandshakeRejectsKeySubstitution(t *testing.T) {
 	env := newTestEnv(t)
 	ha, hb := env.handshakers(t)
-	offer, err := hb.Offer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	own, offer := offers(t, ha, hb)
 	// A man in the middle swaps the handshake key but cannot re-bind the
 	// quote (report data commits to the original key).
 	mitm, err := NewHandshaker(env.enclB, env.verifier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mitmOffer, err := mitm.Offer()
+	mitmOffer, err := mitm.Offer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := &HandshakeMsg{PublicKey: mitmOffer.PublicKey, Quote: offer.Quote}
-	if _, err := ha.Establish(forged, true); !errors.Is(err, ErrBinding) {
+	forged := &HandshakeMsg{PublicKey: mitmOffer.PublicKey, Nonce: offer.Nonce, Quote: offer.Quote}
+	if _, err := ha.Establish(own, forged, nil, true); !errors.Is(err, ErrBinding) {
 		t.Errorf("key substitution err = %v", err)
 	}
+	// Nor can it swap the nonce: the report data commits to it too.
+	renonced := &HandshakeMsg{PublicKey: offer.PublicKey, Nonce: mitmOffer.Nonce, Quote: offer.Quote}
+	if _, err := ha.Establish(own, renonced, nil, true); !errors.Is(err, ErrBinding) {
+		t.Errorf("nonce substitution err = %v", err)
+	}
 	// Missing quote is also rejected.
-	if _, err := ha.Establish(&HandshakeMsg{PublicKey: offer.PublicKey}, true); !errors.Is(err, ErrAttestation) {
+	if _, err := ha.Establish(own, &HandshakeMsg{PublicKey: offer.PublicKey, Nonce: offer.Nonce}, nil, true); !errors.Is(err, ErrAttestation) {
 		t.Errorf("missing quote err = %v", err)
 	}
 }
@@ -221,7 +230,7 @@ func TestHandshakeRejectsKeySubstitution(t *testing.T) {
 func TestHandshakeMsgMarshalRoundTrip(t *testing.T) {
 	env := newTestEnv(t)
 	ha, _ := env.handshakers(t)
-	offer, err := ha.Offer()
+	offer, err := ha.Offer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,75 +245,33 @@ func TestHandshakeMsgMarshalRoundTrip(t *testing.T) {
 	if !bytes.Equal(back.PublicKey, offer.PublicKey) {
 		t.Error("public key lost in marshal round trip")
 	}
-	if back.Quote.Measurement != offer.Quote.Measurement {
+	if !bytes.Equal(back.Nonce, offer.Nonce) {
+		t.Error("nonce lost in marshal round trip")
+	}
+	if back.Quote.PlatformID != offer.Quote.PlatformID || back.Quote.Measurement != offer.Quote.Measurement ||
+		back.Quote.ReportData != offer.Quote.ReportData || !bytes.Equal(back.Quote.Signature, offer.Quote.Signature) {
 		t.Error("quote lost in marshal round trip")
 	}
 	if _, err := UnmarshalHandshakeMsg([]byte("{bad")); err == nil {
-		t.Error("bad JSON should fail")
+		t.Error("bad encoding should fail")
 	}
-}
-
-func TestChannelOverPipe(t *testing.T) {
-	env := newTestEnv(t)
-	ha, hb := env.handshakers(t)
-
-	connA, connB := net.Pipe()
-	type result struct {
-		ch  *Channel
-		err error
+	// Every proper prefix is truncated, and trailing bytes are rejected.
+	for n := 0; n < len(raw); n++ {
+		if _, err := UnmarshalHandshakeMsg(raw[:n]); err == nil {
+			t.Fatalf("truncated message (%d/%d bytes) accepted", n, len(raw))
+		}
 	}
-	acceptDone := make(chan result, 1)
-	go func() {
-		ch, err := Accept(connB, hb)
-		acceptDone <- result{ch, err}
-	}()
-	chA, err := Dial(connA, ha)
+	if _, err := UnmarshalHandshakeMsg(append(raw, 0)); err == nil {
+		t.Error("trailing bytes accepted")
+	}
+	// A decoded offer still establishes a session.
+	_, hb := env.handshakers(t)
+	own, err := hb.Offer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := <-acceptDone
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	chB := res.ch
-
-	recvDone := make(chan result, 1)
-	go func() {
-		msg, err := chB.Receive()
-		if err == nil && string(msg) != "query over tcp" {
-			err = errors.New("wrong payload: " + string(msg))
-		}
-		recvDone <- result{nil, err}
-	}()
-	if err := chA.Send([]byte("query over tcp")); err != nil {
-		t.Fatal(err)
-	}
-	if res := <-recvDone; res.err != nil {
-		t.Fatal(res.err)
-	}
-
-	if chA.Session().PeerMeasurement() != env.enclB.Measurement() {
-		t.Error("channel peer measurement wrong")
-	}
-	if err := chA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := chB.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	big := make([]byte, maxRecordSize+1)
-	if err := writeFrame(&buf, big); !errors.Is(err, ErrRecordTooLarge) {
-		t.Errorf("oversize write err = %v", err)
-	}
-	// Craft an oversized header.
-	buf.Reset()
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); !errors.Is(err, ErrRecordTooLarge) {
-		t.Errorf("oversize read err = %v", err)
+	if _, err := hb.Establish(own, back, nil, false); err != nil {
+		t.Fatalf("decoded offer does not verify: %v", err)
 	}
 }
 
@@ -320,13 +287,78 @@ func TestSessionsAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A record from session 1 must not decrypt in session 2 (fresh ephemeral
-	// keys per handshake).
+	// A record from session 1 must not decrypt in session 2 (distinct
+	// handshakers hold distinct keys).
 	ct, err := sa1.Encrypt([]byte("cross-session"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sb2.Decrypt(ct); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("cross-session decrypt err = %v", err)
+	}
+}
+
+// TestReattestDerivesFreshKeys pairs the same two handshakers twice, as a
+// re-attestation after a broken pair does. Each handshaker keeps its X25519
+// key, so only the per-offer nonces separate the two sessions: a record
+// sealed in the first must not open in the second (no cross-session
+// replay), and the same plaintext at sequence 0 must seal to different
+// bytes (no AES-GCM nonce reuse across sessions).
+func TestReattestDerivesFreshKeys(t *testing.T) {
+	env := newTestEnv(t)
+	ha, hb := env.handshakers(t)
+	sa1, _, err := EstablishPair(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa2, sb2, err := EstablishPair(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct1, err := sa1.Encrypt([]byte("same plaintext"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sb2.Decrypt(ct1); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("record from the first session opened in the second: err = %v", err)
+	}
+	ct2, err := sa2.Encrypt([]byte("same plaintext"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(ct1, ct2) {
+		t.Fatal("seq-0 records of two sessions of one pair are byte-identical: keys were reused")
+	}
+	if pt, err := sb2.Decrypt(ct2); err != nil || string(pt) != "same plaintext" {
+		t.Fatalf("second session does not round-trip: %q, %v", pt, err)
+	}
+}
+
+// TestOfferBoundToPairing: an offer commits to the binding it was made for,
+// so a party that saw it cannot replay it into another pairing — say, a
+// relay forwarding a client's offer to a different relay, or naming a
+// different client — and the matching binding still establishes.
+func TestOfferBoundToPairing(t *testing.T) {
+	env := newTestEnv(t)
+	ha, hb := env.handshakers(t)
+	offer, err := ha.Offer([]byte("client->relay-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []string{"client->relay-2", "victim->relay-1", ""} {
+		own, err := hb.Offer([]byte(other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hb.Establish(own, offer, []byte(other), false); !errors.Is(err, ErrBinding) {
+			t.Errorf("offer for client->relay-1 under binding %q: err = %v, want ErrBinding", other, err)
+		}
+	}
+	own, err := hb.Offer([]byte("client->relay-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hb.Establish(own, offer, []byte("client->relay-1"), false); err != nil {
+		t.Fatalf("offer under its own binding: %v", err)
 	}
 }

@@ -184,7 +184,10 @@ func (s *Session) DecryptAppend(dst, record []byte) ([]byte, error) {
 // and the nonce observer fires so strict-sequence invariant checkers stay
 // consistent. The record's payload is discarded unauthenticated; that is
 // acceptable because the throttling decision was made before, and
-// independent of, its content.
+// independent of, its content. Since anyone can write a valid-looking
+// sequence prefix, the caller must know the record came from the session's
+// own peer: a relay skips only records arriving on the connection the
+// session was paired on (core.Scope).
 func (s *Session) Skip(record []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

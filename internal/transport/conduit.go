@@ -22,3 +22,16 @@ import "time"
 type Conduit interface {
 	Deliver(from, to string, payload []byte, now time.Time) (resp []byte, injected time.Duration, err error)
 }
+
+// Pairer is the attestation seam beside Conduit: it carries one client's
+// handshake offer to a relay and returns the relay's answer. The relay
+// verifies the offer, installs its half of the attested session for from,
+// and answers with its own offer; the caller verifies the answer and keeps
+// the other half. A Pairer must only answer for the relay named by to —
+// that check is what binds a gossiped identity to the endpoint serving it.
+//
+// Ownership: offer is read only for the duration of the call; the answer
+// belongs to the caller.
+type Pairer interface {
+	Pair(from, to string, offer []byte) (answer []byte, err error)
+}

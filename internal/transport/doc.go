@@ -38,4 +38,9 @@
 // returned response is valid only until the next delivery between the same
 // pair and must be consumed before then. Use the checker in tests of every
 // new Conduit implementation — it caught real aliasing bugs in the TCP one.
+//
+// Pairer is the matching attestation seam: one handshake offer out, the
+// relay's answer back. A conduit that also implements Pairer (the TCP one)
+// lets core attest relays in other processes; core pairs in process
+// otherwise.
 package transport
